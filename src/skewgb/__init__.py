@@ -55,7 +55,6 @@ from .groebner import (
     normal_form,
     universal_gb,
 )
-from .kernel import BACKEND
 from .orders import KINDS, MonomialOrder, validate_order
 from .parsing import Problem, parse_expression, parse_problem, parse_problem_file
 from .rees import (
@@ -86,6 +85,10 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+# The multiplication kernel is pure Python; kept as a constant for callers
+# that record which kernel produced a result.
+BACKEND = "python"
 
 __all__ = [
     "BACKEND",

@@ -452,15 +452,15 @@ def verify_component_bound(
     ci = char_ideal(P, gens, w, **kw)
     S = P.graded()
     w_int = _integral_scale(w)
-    w_pos = w_int if w_int.is_positive() else pr_sample_positive(P)
-    nonzero_gens = [g for g in gens if not g.is_zero()]
-    gkdim = gk_dim(P, nonzero_gens, w_pos, **kw)
+    J = _monomialize(S, list(ci.generators))
+    if w_int.is_positive():
+        # at a positive weight the characteristic ideal is the initial
+        # ideal gk_dim would compute again
+        gkdim = krull_dim_monomial(J)
+    else:
+        nonzero_gens = [g for g in gens if not g.is_zero()]
+        gkdim = gk_dim(P, nonzero_gens, pr_sample_positive(P), **kw)
     if ci.is_monomial:
-        J = (
-            MonomialIdeal(P.m, P.n, [next(iter(h.terms)) for h in ci.generators])
-            if ci.generators
-            else MonomialIdeal(P.m, P.n, [])
-        )
         if J.is_unit():
             return ComponentReport(
                 P, w_int, ci, bound, [], gkdim, NEG_INF, "VACUOUS-PASS"
@@ -479,8 +479,7 @@ def verify_component_bound(
         return ComponentReport(
             P, w_int, ci, bound, components, gkdim, total, "PASS" if ok else "FAIL"
         )
-    mono = _monomialize(S, list(ci.generators))
-    total = krull_dim_monomial(mono)
+    total = krull_dim_monomial(J)
     if total == NEG_INF:
         return ComponentReport(P, w_int, ci, bound, [], gkdim, NEG_INF, "VACUOUS-PASS")
     verdict = "UNSUPPORTED" if total >= bound else "FAIL"

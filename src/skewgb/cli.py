@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from .charvar import gk_dim, verify_component_bound
@@ -20,7 +19,7 @@ from .errors import BudgetExceeded, ParseError, RegionError, SkewGbError
 from .fan import enumerate_fan, walk
 from .groebner import buchberger, groebner_wrt_weight, universal_gb
 from .orders import KINDS, MonomialOrder
-from .parsing import Problem, parse_problem_file
+from .parsing import Problem, parse_problem_file, parse_weight_entries
 from .weights import WeightVector, pr_halfspaces
 
 EXIT_OK = 0
@@ -33,8 +32,7 @@ EXIT_BUDGET = 4
 def _weight_flag(problem: Problem, text: Optional[str]) -> Optional[WeightVector]:
     if text is None:
         return problem.weights[0] if problem.weights else None
-    entries = [Fraction(tok.strip()) for tok in text.split(",")]
-    return WeightVector.for_ring(problem.ring, entries)
+    return WeightVector.for_ring(problem.ring, parse_weight_entries(text))
 
 
 def _emit(args, payload: dict, text: str):

@@ -471,28 +471,43 @@ class GroebnerFan:
 def _generic_seed(
     P: RingPresentation, gens: Sequence[SkewPoly], **kw
 ) -> WeightVector:
-    """A positive weight whose initial ideal is monomial."""
+    """A positive weight whose initial ideal is monomial.
+
+    A sample weight on a lower-dimensional cone is nudged off one of its
+    equalities at a time.  Each nudge lands in a cone that has the
+    current one as a proper face, so when no single nudge reaches a
+    maximal cone the search repeats from the first nudged weight; after
+    m + n rounds the dimension argument is exhausted.
+    """
     w = pr_sample_positive(P)
     cone = cone_of(P, gens, w, **kw)
     if cone.is_maximal():
         return _integral_scale(w)
-    # nudge into the interior of an adjacent maximal cone: perturb along
-    # a direction violating one equality while keeping all stricts
     dim = P.m + P.n
-    for form in cone.equalities:
-        point = find_point(
-            dim,
-            [e for e in cone.equalities if e != form],
-            (),
-            list(cone.strict) + [form],
-        )
-        if point is None:
-            continue
-        d = WeightVector(point[: P.m], point[P.m:])
-        eps = epsilon_threshold(P, gens, w, d, verify=False, **kw)
-        candidate = _integral_scale(w + d.scale(eps / 2))
-        if cone_of(P, gens, candidate, **kw).is_maximal():
-            return candidate
+    for _ in range(dim):
+        # perturb along a direction violating one equality while keeping
+        # all stricts, so the nudged weight stays next to the current cone
+        step = None
+        for form in cone.equalities:
+            point = find_point(
+                dim,
+                [e for e in cone.equalities if e != form],
+                (),
+                list(cone.strict) + [form],
+            )
+            if point is None:
+                continue
+            d = WeightVector(point[: P.m], point[P.m:])
+            eps = epsilon_threshold(P, gens, w, d, verify=False, **kw)
+            candidate = _integral_scale(w + d.scale(eps / 2))
+            candidate_cone = cone_of(P, gens, candidate, **kw)
+            if candidate_cone.is_maximal():
+                return candidate
+            if step is None:
+                step = (candidate, candidate_cone)
+        if step is None:
+            break
+        w, cone = step
     raise SkewGbError("could not find a generic seed weight")
 
 

@@ -334,7 +334,6 @@ def groebner_wrt_weight(
     gens: Sequence[SkewPoly],
     w: WeightVector,
     kind: str = "grevlex",
-    saturate: bool = True,
     max_pairs: Optional[int] = None,
     max_steps: Optional[int] = None,
 ) -> Tuple[List[SkewPoly], MonomialOrder]:
@@ -345,7 +344,8 @@ def groebner_wrt_weight(
     entries go through a positively graded Rees ring: generators are
     homogenized with respect to a positive vector of PR(R) and the
     completion runs under the shifted strictly positive weight, which
-    restricts to the (u, v) comparison on homogeneous elements.  The
+    restricts to the (u, v) comparison on homogeneous elements; the
+    completion is repeated until it is saturated with respect to x0.  The
     dehomogenized result is a Groebner basis for (u, v) but need not be
     auto-reduced (full reduction under a non-term order can diverge).
     """
@@ -366,16 +366,15 @@ def groebner_wrt_weight(
     hgens = [homogenize(P, w_plus, g, rz) for g in gens]
     ord_h = base.refine(shifted)
     gb = buchberger(rz.ring, hgens, ord_h, max_pairs=max_pairs, max_steps=max_steps)
-    if saturate:
-        for _ in range(_SATURATION_ROUNDS):
-            stripped = [strip_x0(g) for g in gb.elements]
-            if tuple(stripped) == gb.elements:
-                break
-            gb = buchberger(
-                rz.ring, stripped, ord_h, max_pairs=max_pairs, max_steps=max_steps
-            )
-        else:
-            raise BudgetExceeded("x0-saturation rounds", _SATURATION_ROUNDS)
+    for _ in range(_SATURATION_ROUNDS):
+        stripped = [strip_x0(g) for g in gb.elements]
+        if tuple(stripped) == gb.elements:
+            break
+        gb = buchberger(
+            rz.ring, stripped, ord_h, max_pairs=max_pairs, max_steps=max_steps
+        )
+    else:
+        raise BudgetExceeded("x0-saturation rounds", _SATURATION_ROUNDS)
     result = []
     seen = set()
     for g in gb.elements:

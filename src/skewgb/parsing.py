@@ -186,6 +186,18 @@ class Problem:
         return MonomialOrder(self.order_kind)
 
 
+def parse_weight_entries(text: str, line: Optional[int] = None) -> List[Fraction]:
+    """The rational entries of a comma-separated weight such as ``1,1/2,-1``."""
+    entries = []
+    for tok in text.split(","):
+        tok = tok.strip()
+        try:
+            entries.append(Fraction(tok))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad weight entry {tok!r}", line, 0)
+    return entries
+
+
 def _parse_ring_header(value: str, line: int):
     parts = value.split()
     if not parts:
@@ -262,13 +274,7 @@ def parse_problem(text: str) -> Problem:
     generators = [parse_expression(ring, spec, lineno) for spec, lineno in gen_specs]
     weights = []
     for spec, lineno in weight_specs:
-        entries = []
-        for tok in spec.split(","):
-            tok = tok.strip()
-            try:
-                entries.append(Fraction(tok))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad weight entry {tok!r}", lineno, 0)
+        entries = parse_weight_entries(spec, lineno)
         if len(entries) != ring.m + ring.n:
             raise ParseError(
                 f"weight has {len(entries)} entries, ring needs {ring.m + ring.n}",

@@ -237,6 +237,9 @@ class SkewPoly:
             raise PresentationError("operands over different presentations")
 
     def __add__(self, other: "SkewPoly") -> "SkewPoly":
+        # ring elements only: a scalar has no ring to add in
+        if not isinstance(other, SkewPoly):
+            return NotImplemented
         self._check(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
@@ -248,6 +251,8 @@ class SkewPoly:
         return SkewPoly(self.ring, terms)
 
     def __sub__(self, other: "SkewPoly") -> "SkewPoly":
+        if not isinstance(other, SkewPoly):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "SkewPoly":

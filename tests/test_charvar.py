@@ -189,6 +189,22 @@ class TestComponentReport:
         assert comps == {(("x2", "y2"), 2), (("y1", "y2"), 2)}
         assert rep.gkdim == 2 and rep.bound == 2
 
+    def test_positive_weight_computes_one_initial_ideal(self, monkeypatch):
+        import skewgb.charvar as charvar
+
+        calls = []
+        real = charvar.initial_ideal_weight
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(charvar, "initial_ideal_weight", counting)
+        gens = [A2.y(1) ** 2 - A2.y(2), A2.x(1) * A2.y(1) + 2 * A2.x(2) * A2.y(2)]
+        rep = verify_component_bound(A2, gens, _w(A2, [1, 1, 1, 3]))
+        assert rep.gkdim == 2
+        assert len(calls) == 1
+
     def test_zero_ideal_report(self):
         rep = verify_component_bound(A2, [], _w(A2, [1, 1, 1, 1]))
         assert rep.verdict == "PASS"

@@ -122,6 +122,8 @@ class TestExitCodes:
         bad.write_text("ring: weyl 2\nideal: 2x1\n")
         code, _, err = run(["gb", str(bad)], capsys)
         assert code == 2 and "parse error" in err
+        code, _, err = run(["gb", EXAMPLE_B, "--weight", "1,a,1,1"], capsys)
+        assert code == 2 and "bad weight entry 'a'" in err
 
     def test_region_error(self, tmp_path, capsys):
         f = tmp_path / "p.txt"

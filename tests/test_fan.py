@@ -16,6 +16,7 @@ from skewgb import (
     walk,
     weyl_presentation,
 )
+from skewgb.fan import _generic_seed
 
 A1 = weyl_presentation(1)
 A2 = weyl_presentation(2)
@@ -181,3 +182,16 @@ class TestEnumerateFan:
         f2 = enumerate_fan(A2, _example_b_gens())
         assert [c.key() for c in f1.cones] == [c.key() for c in f2.cones]
         assert f1.adjacency == f2.adjacency
+
+    def test_generic_seed_leaves_codimension_two_face(self):
+        # the sample weight of this A3 ideal lies on a face of codimension
+        # >= 2, where no single nudge reaches a maximal cone
+        A3 = weyl_presentation(3)
+        gens = [
+            A3.y(1) ** 2 - A3.y(2),
+            A3.x(1) * A3.y(1) + 2 * A3.x(2) * A3.y(2),
+            A3.y(3) - A3.x(3),
+        ]
+        seed = _generic_seed(A3, gens)
+        assert seed.is_positive()
+        assert cone_of(A3, gens, seed).is_maximal()

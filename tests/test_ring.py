@@ -92,6 +92,11 @@ class TestArithmetic:
         assert f.scale(Fraction(1, 2)) == Fraction(1, 2) * f
         assert -(-f) == f
         assert f - f == A1.zero()
+        # scalars scale but do not add: they carry no ring
+        with pytest.raises(TypeError):
+            f + 1
+        with pytest.raises(TypeError):
+            f - 1
 
     def test_pow(self):
         assert A1.y(1) ** 0 == A1.one()
