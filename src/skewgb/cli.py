@@ -19,7 +19,7 @@ from .errors import BudgetExceeded, ParseError, RegionError, SkewGbError
 from .fan import enumerate_fan, walk
 from .groebner import buchberger, groebner_wrt_weight, universal_gb
 from .orders import KINDS, MonomialOrder
-from .parsing import Problem, parse_problem_file, parse_weight_entries
+from .parsing import Problem, parse_problem_file, parse_weight
 from .weights import WeightVector, pr_halfspaces
 
 EXIT_OK = 0
@@ -32,7 +32,7 @@ EXIT_BUDGET = 4
 def _weight_flag(problem: Problem, text: Optional[str]) -> Optional[WeightVector]:
     if text is None:
         return problem.weights[0] if problem.weights else None
-    return WeightVector.for_ring(problem.ring, parse_weight_entries(text))
+    return parse_weight(problem.ring, text)
 
 
 def _emit(args, payload: dict, text: str):

@@ -11,7 +11,6 @@ monomial initial ideals; the fan is enumerated by crossing facets.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -31,6 +30,7 @@ from .weights import (
     HalfspaceSystem,
     WeightVector,
     _normalize_form,
+    denominator_lcm,
     initial_form,
     pr_contains,
     pr_halfspaces,
@@ -63,9 +63,7 @@ def _canonical_eq(form) -> Tuple[Fraction, ...]:
 
 
 def _integral_point(entries, m: int) -> WeightVector:
-    denom = 1
-    for x in entries:
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
+    denom = denominator_lcm(entries)
     scaled = [x * denom for x in entries]
     return WeightVector(scaled[:m], scaled[m:])
 

@@ -13,6 +13,7 @@ returning a truncated answer.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 from fractions import Fraction
@@ -22,7 +23,13 @@ from .errors import BudgetExceeded, RegionError, SkewGbError
 from .orders import MonomialOrder, validate_order
 from .rees import dehomogenize, homogenize, rees_presentation, strip_x0
 from .ring import RingPresentation, SkewPoly
-from .weights import WeightVector, initial_form, pr_contains, pr_sample_positive
+from .weights import (
+    WeightVector,
+    denominator_lcm,
+    initial_form,
+    pr_contains,
+    pr_sample_positive,
+)
 
 DEFAULT_MAX_PAIRS = 100_000
 DEFAULT_MAX_STEPS = 200_000
@@ -246,13 +253,20 @@ def buchberger(
         basis.append(_monic(g, order))
         lead.append(order.leading_monomial(g))
     commutative = P.is_commutative
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    key = order.key
+    # normal selection: smallest lcm first, ties to the smaller indices
+    pairs: List = []
+
+    def add_pairs(new: int):
+        for k in range(new):
+            lcm = _exp_lcm(lead[k], lead[new])
+            heapq.heappush(pairs, (key(lcm), k, new, lcm))
+
+    for j in range(len(basis)):
+        add_pairs(j)
     processed = 0
     while pairs:
-        # normal selection: smallest lcm first
-        i, j = min(pairs, key=lambda p: order.key(_exp_lcm(lead[p[0]], lead[p[1]])))
-        pairs.remove((i, j))
-        lcm = _exp_lcm(lead[i], lead[j])
+        _k, i, j, lcm = heapq.heappop(pairs)
         if commutative and lcm == _exp_add(lead[i], lead[j]):
             continue  # Buchberger's coprime criterion
         processed += 1
@@ -267,8 +281,7 @@ def buchberger(
         r = _monic(r, order)
         basis.append(r)
         lead.append(order.leading_monomial(r))
-        new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
+        add_pairs(len(basis) - 1)
     # auto-reduction to the reduced basis
     changed = True
     while changed:
@@ -298,11 +311,7 @@ def initial_ideal_order(
 
 
 def _integral_scale(w: WeightVector) -> WeightVector:
-    denoms = [x.denominator for x in w.entries]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // math.gcd(scale, d)
-    return w.scale(scale)
+    return w.scale(denominator_lcm(w.entries))
 
 
 def _rees_weight_order(

@@ -13,19 +13,27 @@ degree.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from .errors import SkewGbError
 from .ring import RingPresentation, SkewPoly
-from .weights import WeightVector
+from .weights import WeightVector, denominator_lcm
 
 KINDS = ("lex", "grlex", "grevlex")
 
 
 class MonomialOrder:
-    """Base term order + optional weight refinement + optional Rees lift."""
+    """Base term order + optional weight refinement + optional Rees lift.
 
-    __slots__ = ("kind", "perm", "weight", "lifted")
+    The sort key is compiled once, at construction: the weight is scaled
+    by the lcm of its denominators to plain ints (a positive scale keeps
+    every comparison), and an explicit ``perm`` is resolved, reversed for
+    grevlex.  Keys are memoised per order; the memo is not part of
+    equality and lives as long as the order does.
+    """
+
+    __slots__ = ("kind", "perm", "weight", "lifted", "_u", "_v", "_perm", "_memo")
 
     def __init__(
         self,
@@ -40,6 +48,17 @@ class MonomialOrder:
         self.perm = tuple(perm) if perm is not None else None
         self.weight = weight
         self.lifted = lifted
+        if weight is None:
+            self._u = self._v = None
+        else:
+            scale = denominator_lcm(weight.entries)
+            self._u = tuple((x * scale).numerator for x in weight.u)
+            self._v = tuple((x * scale).numerator for x in weight.v)
+        if self.perm is not None and kind == "grevlex":
+            self._perm = self.perm[::-1]
+        else:
+            self._perm = self.perm
+        self._memo = {}
 
     # -- derived orders ------------------------------------------------
 
@@ -60,26 +79,35 @@ class MonomialOrder:
     # -- comparison ----------------------------------------------------
 
     def _base_key(self, exps: Tuple[int, ...]):
-        perm = self.perm if self.perm is not None else range(len(exps))
+        perm = self._perm
         if self.kind == "lex":
-            return tuple(exps[p] for p in perm)
+            return exps if perm is None else tuple(exps[p] for p in perm)
+        total = (sum(exps),)
         if self.kind == "grlex":
-            return (sum(exps),) + tuple(exps[p] for p in perm)
+            return total + (exps if perm is None else tuple(exps[p] for p in perm))
         # grevlex: total degree, then smaller exponent on the least
-        # significant variable wins
-        return (sum(exps),) + tuple(-exps[p] for p in reversed(list(perm)))
+        # significant variable wins (an explicit perm is stored reversed)
+        if perm is None:
+            return total + tuple(-e for e in reversed(exps))
+        return total + tuple(-exps[p] for p in perm)
 
-    def key(self, mono):
-        """Sort key; key(m1) < key(m2) iff m1 precedes m2."""
+    def _compute_key(self, mono):
         a, b = mono
         if self.lifted:
             head = (-a[0],)
             a = a[1:]
         else:
             head = ()
-        if self.weight is not None:
-            head = head + (self.weight.dot((a, b)),)
+        if self._u is not None:
+            head += (sum(map(mul, self._u, a)) + sum(map(mul, self._v, b)),)
         return head + self._base_key(a + b)
+
+    def key(self, mono):
+        """Sort key; key(m1) < key(m2) iff m1 precedes m2."""
+        k = self._memo.get(mono)
+        if k is None:
+            k = self._memo[mono] = self._compute_key(mono)
+        return k
 
     def less(self, mono1, mono2) -> bool:
         return self.key(mono1) < self.key(mono2)

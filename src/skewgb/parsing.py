@@ -198,6 +198,20 @@ def parse_weight_entries(text: str, line: Optional[int] = None) -> List[Fraction
     return entries
 
 
+def parse_weight(
+    ring: RingPresentation, text: str, line: Optional[int] = None
+) -> WeightVector:
+    """A comma-separated weight for ``ring``; a wrong length is a parse error."""
+    entries = parse_weight_entries(text, line)
+    if len(entries) != ring.m + ring.n:
+        raise ParseError(
+            f"weight has {len(entries)} entries, ring needs {ring.m + ring.n}",
+            line,
+            0,
+        )
+    return WeightVector.for_ring(ring, entries)
+
+
 def _parse_ring_header(value: str, line: int):
     parts = value.split()
     if not parts:
@@ -272,16 +286,7 @@ def parse_problem(text: str) -> Problem:
     if custom is not None:
         ring = _build_custom(custom, q1, q2)
     generators = [parse_expression(ring, spec, lineno) for spec, lineno in gen_specs]
-    weights = []
-    for spec, lineno in weight_specs:
-        entries = parse_weight_entries(spec, lineno)
-        if len(entries) != ring.m + ring.n:
-            raise ParseError(
-                f"weight has {len(entries)} entries, ring needs {ring.m + ring.n}",
-                lineno,
-                0,
-            )
-        weights.append(WeightVector.for_ring(ring, entries))
+    weights = [parse_weight(ring, spec, lineno) for spec, lineno in weight_specs]
     return Problem(ring, generators, weights, order_kind)
 
 

@@ -66,7 +66,17 @@ class RingPresentation:
     entries are filled in antisymmetrically.
     """
 
-    __slots__ = ("m", "n", "_q1", "_q2", "name", "_kernel", "_graded", "var_names")
+    __slots__ = (
+        "m",
+        "n",
+        "_q1",
+        "_q2",
+        "name",
+        "_kernel",
+        "_graded",
+        "_halfspaces",
+        "var_names",
+    )
 
     def __init__(self, m: int, n: int, q1=None, q2=None, name: str = "custom"):
         if m < 0 or n < 0:
@@ -105,6 +115,7 @@ class RingPresentation:
         self._q2 = {k: v for k, v in sorted(table2.items()) if v}
         self._kernel = None
         self._graded = None
+        self._halfspaces = None  # PR(R), built by weights.pr_halfspaces
 
     # -- table access --------------------------------------------------
 

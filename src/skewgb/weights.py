@@ -102,14 +102,16 @@ class WeightVector:
     __repr__ = __str__
 
 
+def denominator_lcm(values: Iterable[Fraction]) -> int:
+    """Least common multiple of the denominators of the rationals (1 if none)."""
+    return math.lcm(*(x.denominator for x in values))
+
+
 def _normalize_form(form: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
     """Scale a linear form by a positive rational to integer content 1."""
-    nums = [x for x in form if x]
-    if not nums:
+    if not any(form):
         return form
-    denom_lcm = 1
-    for x in nums:
-        denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
+    denom_lcm = denominator_lcm(form)
     scaled = [x * denom_lcm for x in form]
     g = 0
     for x in scaled:
@@ -196,8 +198,14 @@ def pr_halfspaces(P: RingPresentation) -> HalfspaceSystem:
 
     One inequality per monomial of each relation table entry:
     u_j + v_i > u.a for x^a in Q1_{i,j} and v_i + v_j > u.a + v_l for
-    x^a y_l (or x^a) in Q2_{i,j}.
+    x^a y_l (or x^a) in Q2_{i,j}.  Built once per presentation.
     """
+    if P._halfspaces is None:
+        P._halfspaces = _build_pr_halfspaces(P)
+    return P._halfspaces
+
+
+def _build_pr_halfspaces(P: RingPresentation) -> HalfspaceSystem:
     m, n = P.m, P.n
     forms = []
     zero = [Fraction(0)] * (m + n)

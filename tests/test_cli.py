@@ -124,6 +124,8 @@ class TestExitCodes:
         assert code == 2 and "parse error" in err
         code, _, err = run(["gb", EXAMPLE_B, "--weight", "1,a,1,1"], capsys)
         assert code == 2 and "bad weight entry 'a'" in err
+        code, _, err = run(["gb", EXAMPLE_B, "--weight", "1,1,1"], capsys)
+        assert code == 2 and "weight has 3 entries, ring needs 4" in err
 
     def test_region_error(self, tmp_path, capsys):
         f = tmp_path / "p.txt"

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewgb import (
     KINDS,
@@ -146,3 +148,109 @@ class TestLeadingData:
         for mi, ki in zip(monos, keys):
             for mj, kj in zip(monos, keys):
                 assert (ki == kj) == (mi == mj)
+
+
+def reference_key(kind, perm, weight, lifted, mono):
+    """The order spelled out on Fractions: x0 (when lifted), then the
+    rational weight, then the base term order."""
+    a, b = mono
+    head = ()
+    if lifted:
+        head = (-a[0],)
+        a = a[1:]
+    if weight is not None:
+        dot = sum(Fraction(u) * e for u, e in zip(weight.u, a)) + sum(
+            Fraction(v) * e for v, e in zip(weight.v, b)
+        )
+        head += (dot,)
+    exps = a + b
+    seq = list(perm) if perm is not None else list(range(len(exps)))
+    if kind == "lex":
+        return head + tuple(exps[p] for p in seq)
+    if kind == "grlex":
+        return head + (sum(exps),) + tuple(exps[p] for p in seq)
+    return head + (sum(exps),) + tuple(-exps[p] for p in reversed(seq))
+
+
+@st.composite
+def orders_and_monomials(draw):
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(KINDS))
+    lifted = draw(st.booleans())
+    perm = draw(st.none() | st.permutations(range(m + n)))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    weight = draw(
+        st.none() | st.builds(WeightVector, st.lists(entry, min_size=m, max_size=m),
+                              st.lists(entry, min_size=n, max_size=n))
+    )
+    width = m + 1 if lifted else m
+    exps = st.integers(0, 4)
+    monomial = st.builds(
+        mono,
+        st.lists(exps, min_size=width, max_size=width),
+        st.lists(exps, min_size=n, max_size=n),
+    )
+    monos = draw(st.lists(monomial, min_size=2, max_size=6))
+    return kind, perm, weight, lifted, monos
+
+
+class TestCompiledKey:
+    @given(orders_and_monomials())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_fraction_reference(self, case):
+        kind, perm, weight, lifted, monos = case
+        order = MonomialOrder(kind, perm, weight, lifted)
+        for m1 in monos:
+            r1 = reference_key(kind, perm, weight, lifted, m1)
+            for m2 in monos:
+                r2 = reference_key(kind, perm, weight, lifted, m2)
+                assert order.less(m1, m2) == (r1 < r2)
+                assert (order.key(m1) == order.key(m2)) == (r1 == r2)
+
+    @given(orders_and_monomials())
+    @settings(max_examples=50, deadline=None)
+    def test_repeated_calls_are_stable(self, case):
+        kind, perm, weight, lifted, monos = case
+        order = MonomialOrder(kind, perm, weight, lifted)
+        first = [order.key(x) for x in monos]
+        fresh = MonomialOrder(kind, perm, weight, lifted)
+        assert [order.key(x) for x in monos] == first
+        assert [fresh.key(x) for x in reversed(monos)] == first[::-1]
+
+    @given(orders_and_monomials())
+    @settings(max_examples=50, deadline=None)
+    def test_memo_is_not_part_of_equality(self, case):
+        kind, perm, weight, lifted, monos = case
+        used = MonomialOrder(kind, perm, weight, lifted)
+        for x in monos:
+            used.key(x)
+        fresh = MonomialOrder(kind, perm, weight, lifted)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+
+    def test_derived_orders_do_not_share_keys(self):
+        base = MonomialOrder("grevlex")
+        x1_sq, y1 = mono([2], [0]), mono([0], [1])
+        assert base.less(y1, x1_sq)
+        refined = base.refine(WeightVector.for_ring(A1, [Fraction(1, 2), 3]))
+        assert refined == MonomialOrder("grevlex", weight=refined.weight)
+        assert refined.less(x1_sq, y1)
+        assert base.less(y1, x1_sq)
+        x0, one = mono([1, 0], [0]), mono([0, 0], [0])
+        assert base.less(one, x0)
+        lifted = base.lift()
+        assert lifted == MonomialOrder("grevlex", lifted=True)
+        assert lifted.less(x0, one)
+        assert base.less(one, x0)
+
+    def test_weight_scale_does_not_change_comparisons(self):
+        w = WeightVector.for_ring(A2, [Fraction(1, 2), Fraction(-2, 3), 1, Fraction(5, 4)])
+        o1 = MonomialOrder("grlex").refine(w)
+        o2 = MonomialOrder("grlex").refine(w.scale(12))
+        rng = random.Random(7)
+        monos = [
+            mono([rng.randrange(4) for _ in range(2)], [rng.randrange(4) for _ in range(2)])
+            for _ in range(40)
+        ]
+        assert sorted(monos, key=o1.key) == sorted(monos, key=o2.key)

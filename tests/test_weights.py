@@ -16,11 +16,18 @@ from skewgb import (
     weight_degree,
     weyl_presentation,
 )
-from skewgb.weights import NEG_INF
+from skewgb import weights
+from skewgb.weights import NEG_INF, denominator_lcm
 
 A1 = weyl_presentation(1)
 A2 = weyl_presentation(2)
 SL2 = sl2_presentation()
+
+
+def test_denominator_lcm():
+    assert denominator_lcm([]) == 1
+    assert denominator_lcm([Fraction(1, 4), Fraction(-5, 6), Fraction(3)]) == 12
+    assert denominator_lcm([Fraction(0), 2]) == 1
 
 
 class TestWeightVector:
@@ -127,3 +134,22 @@ class TestPolynomialRegion:
     def test_halfspace_text_is_deterministic(self):
         assert pr_halfspaces(SL2).to_text() == pr_halfspaces(SL2).to_text()
         assert "[0 1 0] > 0" in pr_halfspaces(SL2).to_text()
+
+    def test_halfspaces_built_once_per_presentation(self, monkeypatch):
+        P = sl2_presentation()
+        builds = []
+        build = weights._build_pr_halfspaces
+
+        def counting(Q):
+            builds.append(Q)
+            return build(Q)
+
+        monkeypatch.setattr(weights, "_build_pr_halfspaces", counting)
+        assert pr_halfspaces(P) is pr_halfspaces(P)
+        for entries in ([-1, 1, 3], [2, 1, -1], [1, 1, 1]):
+            pr_contains(P, WeightVector.for_ring(P, entries))
+        assert builds == [P]
+        # an equal but distinct presentation carries its own system
+        Q = sl2_presentation()
+        assert pr_halfspaces(Q) == pr_halfspaces(P)
+        assert len(builds) == 2
