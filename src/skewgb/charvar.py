@@ -10,7 +10,6 @@ computed by inclusion-exclusion over the lcm lattice of the generators.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 

@@ -17,21 +17,17 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .errors import BudgetExceeded, RegionError, SkewGbError
 from .groebner import (
     MonomialIdeal,
+    _initial_ideal_of,
     _integral_scale,
-    comm_groebner,
-    ideals_equal_comm,
     initial_ideal_weight,
     groebner_wrt_weight,
 )
-from .orders import MonomialOrder
-from .polyhedra import find_point, irredundant_strict
+from .polyhedra import _gauss, find_point, irredundant_strict
 from .ring import RingPresentation, SkewPoly
 from .weights import (
     HalfspaceSystem,
     WeightVector,
     _normalize_form,
-    denominator_lcm,
-    initial_form,
     pr_contains,
     pr_halfspaces,
     pr_sample_positive,
@@ -39,10 +35,6 @@ from .weights import (
 
 _MAX_CONES_DEFAULT = 512
 _EPS_REFINE_ROUNDS = 40
-
-
-def _form(entries) -> Tuple[Fraction, ...]:
-    return _normalize_form(tuple(Fraction(x) for x in entries))
 
 
 def _mono_vec(mono) -> Tuple[Fraction, ...]:
@@ -60,12 +52,6 @@ def _canonical_eq(form) -> Tuple[Fraction, ...]:
     if lead is not None and lead < 0:
         form = tuple(-x for x in form)
     return form
-
-
-def _integral_point(entries, m: int) -> WeightVector:
-    denom = denominator_lcm(entries)
-    scaled = [x * denom for x in entries]
-    return WeightVector(scaled[:m], scaled[m:])
 
 
 class GroebnerCone:
@@ -113,8 +99,6 @@ class GroebnerCone:
     @property
     def dim_deficiency(self) -> int:
         """Number of independent equality constraints (0 for maximal cones)."""
-        from .polyhedra import _gauss
-
         return len(_gauss(self.ring.m + self.ring.n, self.equalities))
 
     def is_maximal(self) -> bool:
@@ -168,14 +152,21 @@ class GroebnerCone:
         return f"GroebnerCone({kind}, weight={self.weight})"
 
 
+def _top_split(g: SkewPoly, w: WeightVector):
+    """Terms of g at its top w-degree, the terms below, and all w-degrees."""
+    dots = {key: w.dot(key) for key in g.terms}
+    top = max(dots.values())
+    winners = [key for key in g.terms if dots[key] == top]
+    rest = [key for key in g.terms if dots[key] != top]
+    return winners, rest, dots
+
+
 def _cone_forms(P: RingPresentation, basis, w: WeightVector):
     """Equalities and strict forms of the class of w cut out by a basis."""
     equalities = []
     strict = []
     for g in basis:
-        top = max(w.dot(key) for key in g.terms)
-        winners = [key for key in g.terms if w.dot(key) == top]
-        rest = [key for key in g.terms if w.dot(key) != top]
+        winners, rest, _dots = _top_split(g, w)
         e0 = winners[0]
         for e in winners[1:]:
             form = _canonical_eq(_diff(e, e0))
@@ -186,42 +177,40 @@ def _cone_forms(P: RingPresentation, basis, w: WeightVector):
                 form = _normalize_form(_diff(e, f))
                 if any(form):
                     strict.append(form)
-    for form in pr_halfspaces(P).strict:
-        strict.append(form)
+    strict.extend(pr_halfspaces(P).strict)
     return equalities, strict
 
 
 def _reduced_marked_basis(
-    P: RingPresentation, gens: Sequence[SkewPoly], w: WeightVector, **kw
+    P: RingPresentation, gens: Sequence[SkewPoly], w_int: WeightVector, **kw
 ):
-    """A reduced basis for the class of w, plus GR certification data.
+    """A reduced basis for the class of an integral weight, its initial
+    ideal, and GR certification data; each basis is computed once.
 
-    Returns (basis, inside_gr, positive_rep).  For nonnegative weights
-    the weight-refined order is a term order and the completed basis is
-    already reduced.  Otherwise the class is searched for a positive
-    representative: if one is found and certified (same initial ideal),
-    the reduced basis is recomputed there; if not, the possibly
-    unreduced basis from the Rees route is used best-effort.
+    Returns (basis, init, inside_gr, positive_rep), with ``init`` the
+    canonical in_w(I) read off the basis at w_int.  For nonnegative
+    weights that basis is already reduced.  Otherwise the class is
+    searched for a positive representative: if one is certified (same
+    initial ideal), the reduced basis computed there is used; if not,
+    the possibly unreduced basis from the Rees route is used
+    best-effort.
     """
-    w.check(P)
-    w_int = _integral_scale(w)
-    basis, _ord = groebner_wrt_weight(P, gens, w_int, **kw)
+    basis, order = groebner_wrt_weight(P, gens, w_int, **kw)
+    init = _initial_ideal_of(P, basis, w_int, order.kind)
     if w_int.is_positive():
-        return basis, True, w_int
-    ok, rep = _class_has_positive(P, basis, w_int, gens, **kw)
-    if not ok:
-        return basis, False, None
+        return basis, init, True, w_int
+    rep, rep_basis = _class_has_positive(P, gens, basis, init, w_int, **kw)
+    if rep is None:
+        return basis, init, False, None
     if w_int.is_nonnegative():
         # already reduced (term order); keep the original marking
-        return basis, True, rep
-    reduced, _ord = groebner_wrt_weight(P, gens, rep, **kw)
-    return reduced, True, rep
+        return basis, init, True, rep
+    return rep_basis, init, True, rep
 
 
-def _class_has_positive(
-    P: RingPresentation, basis, w: WeightVector, gens, **kw
-) -> Tuple[bool, Optional[WeightVector]]:
-    """Search the class of w for a certified positive representative."""
+def _class_has_positive(P: RingPresentation, gens, basis, init, w: WeightVector, **kw):
+    """A positive representative of the class of w and its basis, certified
+    by its initial ideal being ``init``; (None, None) if none is found."""
     dim = P.m + P.n
     equalities, strict = _cone_forms(P, basis, w)
     coord = [
@@ -230,13 +219,12 @@ def _class_has_positive(
     ]
     point = find_point(dim, equalities, (), list(strict) + coord)
     if point is None:
-        return False, None
-    rep = _integral_point(list(point), P.m)
-    lhs = initial_ideal_weight(P, gens, w, **kw)
-    rhs = initial_ideal_weight(P, gens, rep, **kw)
-    if not ideals_equal_comm(P.graded(), lhs, rhs):
-        return False, None
-    return True, rep
+        return None, None
+    rep = _integral_scale(WeightVector(point[: P.m], point[P.m:]))
+    rep_basis, order = groebner_wrt_weight(P, gens, rep, **kw)
+    if _initial_ideal_of(P, rep_basis, rep, order.kind) != init:
+        return None, None
+    return rep, rep_basis
 
 
 def cone_of(
@@ -247,13 +235,12 @@ def cone_of(
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
     w_int = _integral_scale(w)
-    basis, inside_gr, rep = _reduced_marked_basis(P, gens, w_int, **kw)
+    basis, init, inside_gr, rep = _reduced_marked_basis(P, gens, w_int, **kw)
     equalities, strict = _cone_forms(P, basis, w_int)
     dim = P.m + P.n
     eqs = sorted(set(e for e in equalities if any(e)))
     stricts = sorted(set(s for s in strict if any(s)))
     stricts = sorted(irredundant_strict(dim, eqs, stricts))
-    init = initial_ideal_weight(P, gens, w_int, **kw)
     return GroebnerCone(P, w_int, eqs, stricts, basis, init, inside_gr, rep)
 
 
@@ -266,8 +253,7 @@ def same_class(
 ) -> bool:
     """Whether two weights induce the same initial ideal in S."""
     lhs = initial_ideal_weight(P, gens, w1, **kw)
-    rhs = initial_ideal_weight(P, gens, w2, **kw)
-    return ideals_equal_comm(P.graded(), lhs, rhs)
+    return lhs == initial_ideal_weight(P, gens, w2, **kw)
 
 
 def gr_region_contains(
@@ -277,15 +263,35 @@ def gr_region_contains(
     w.check(P)
     if not pr_contains(P, w):
         return False
-    w_int = _integral_scale(w)
-    if w_int.is_positive():
+    if w.is_positive():
         return True
-    basis, _ord = groebner_wrt_weight(P, gens, w_int, **kw)
-    ok, _rep = _class_has_positive(P, basis, w_int, gens, **kw)
-    return ok
+    w_int = _integral_scale(w)
+    _basis, _init, inside_gr, _rep = _reduced_marked_basis(P, gens, w_int, **kw)
+    return inside_gr
 
 
 # -- epsilon threshold -------------------------------------------------
+
+
+def _epsilon_bound(P: RingPresentation, basis, w: WeightVector, w_prime) -> Fraction:
+    """The eps0 of ``epsilon_threshold`` read off a marked basis at w."""
+    bounds: List[Fraction] = []
+    for g in basis:
+        winners, rest, dots = _top_split(g, w)
+        ptop = max(w_prime.dot(key) for key in winners)
+        new_winners = [key for key in winners if w_prime.dot(key) == ptop]
+        for e in new_winners:
+            for f in rest:
+                drop = dots[e] - dots[f]
+                rise = w_prime.dot(f) - w_prime.dot(e)
+                if rise > 0:
+                    bounds.append(drop / rise)
+    for form in pr_halfspaces(P).strict:
+        val = sum(c * x for c, x in zip(form, w.entries))
+        slope = sum(c * x for c, x in zip(form, w_prime.entries))
+        if slope < 0:
+            bounds.append(val / -slope)
+    return min(bounds) if bounds else Fraction(1)
 
 
 def epsilon_threshold(
@@ -309,37 +315,13 @@ def epsilon_threshold(
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
     w_int = _integral_scale(w)
-    basis, _inside, _rep = _reduced_marked_basis(P, gens, w_int, **kw)
-    bounds: List[Fraction] = []
-    for g in basis:
-        top = max(w_int.dot(key) for key in g.terms)
-        winners = [key for key in g.terms if w_int.dot(key) == top]
-        rest = [key for key in g.terms if w_int.dot(key) != top]
-        ptop = max(w_prime.dot(key) for key in winners)
-        new_winners = [key for key in winners if w_prime.dot(key) == ptop]
-        for e in new_winners:
-            for f in rest:
-                drop = w_int.dot(e) - w_int.dot(f)
-                rise = w_prime.dot(f) - w_prime.dot(e)
-                if rise > 0:
-                    bounds.append(drop / rise)
-    for form in pr_halfspaces(P).strict:
-        val = sum(c * x for c, x in zip(form, w_int.entries))
-        slope = sum(c * x for c, x in zip(form, w_prime.entries))
-        if slope < 0:
-            bounds.append(val / -slope)
-    eps0 = min(bounds) if bounds else Fraction(1)
+    basis, inner, _inside, _rep = _reduced_marked_basis(P, gens, w_int, **kw)
+    eps0 = _epsilon_bound(P, basis, w_int, w_prime)
     if verify:
-        eps = eps0 / 2
-        perturbed = w_int + w_prime.scale(eps)
+        perturbed = w_int + w_prime.scale(eps0 / 2)
         lhs = initial_ideal_weight(P, gens, perturbed, **kw)
-        inner = initial_ideal_weight(P, gens, w_int, **kw)
-        S = P.graded()
-        if inner:
-            rhs = initial_ideal_weight(S, inner, w_prime, **kw)
-        else:
-            rhs = []
-        if not ideals_equal_comm(S, lhs, rhs):
+        rhs = initial_ideal_weight(P.graded(), inner, w_prime, **kw)
+        if lhs != rhs:
             raise SkewGbError(
                 "epsilon threshold verification failed at eps0/2; "
                 f"w={w_int} w'={w_prime} eps0={eps0}"
@@ -413,7 +395,7 @@ def walk(
             break
         # certify the wall: the one-sided initial ideal matches the cone
         before = _segment_point(w_start, w_end, (t_enter + t_exit) / 2)
-        if not same_class(P, gens, before, cone.weight, **kw):
+        if initial_ideal_weight(P, gens, before, **kw) != list(cone.initial_gens):
             raise SkewGbError(f"walk certification failed before wall t={t_exit}")
         # step strictly past the wall, close enough to stay in one cone
         t_next = t_exit + (Fraction(1) - t_exit) / 2
@@ -496,7 +478,7 @@ def _generic_seed(
             if point is None:
                 continue
             d = WeightVector(point[: P.m], point[P.m:])
-            eps = epsilon_threshold(P, gens, w, d, verify=False, **kw)
+            eps = _epsilon_bound(P, cone.basis, cone.weight, d)
             candidate = _integral_scale(w + d.scale(eps / 2))
             candidate_cone = cone_of(P, gens, candidate, **kw)
             if candidate_cone.is_maximal():
@@ -526,7 +508,7 @@ def _cross_facet(
     point = find_point(dim, list(cone.equalities) + [facet], (), others)
     if point is None:
         return None
-    p = _integral_point(list(point), P.m)
+    p = _integral_scale(WeightVector(point[: P.m], point[P.m:]))
     if not pr_contains(P, p):
         return None
     d = WeightVector(

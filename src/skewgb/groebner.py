@@ -409,17 +409,22 @@ def initial_ideal_weight(
 
     Takes the initial forms of a Groebner basis under the weight-refined
     order and interreduces them to the reduced commutative Groebner
-    basis of the ideal they generate (same ideal, canonical output).
+    basis of the ideal they generate.  The output is canonical: the
+    reduced, monic basis under ``MonomialOrder(kind)``, sorted by
+    support.  For a fixed ``kind``, equal initial ideals (of any weights
+    or generating sets) give equal lists, and unequal ones unequal lists.
     """
     gb, _ord = groebner_wrt_weight(P, gens, w, kind=kind, **kw)
-    forms = [initial_form(P, g, w) for g in gb]
+    return _initial_ideal_of(P, gb, w, kind)
+
+
+def _initial_ideal_of(P: RingPresentation, basis, w: WeightVector, kind: str):
+    """The canonical in_w(I) read off a Groebner basis of I at w."""
+    forms = [initial_form(P, g, w) for g in basis]
     if not forms:
         return []
-    S = P.graded()
-    comm = comm_groebner(S, forms, MonomialOrder(kind))
-    result = list(comm.elements)
-    result.sort(key=lambda h: sorted(h.terms))
-    return result
+    comm = comm_groebner(P.graded(), forms, MonomialOrder(kind))
+    return sorted(comm.elements, key=lambda h: sorted(h.terms))
 
 
 # -- commutative helpers over S ---------------------------------------

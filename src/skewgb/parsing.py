@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ParseError
 from .orders import KINDS, MonomialOrder
@@ -27,6 +27,7 @@ from .ring import (
     SkewPoly,
     commutative_presentation,
     sl2_presentation,
+    validate_presentation,
     weyl_presentation,
 )
 from .weights import WeightVector
@@ -307,7 +308,10 @@ def _build_custom(shape, q1_specs, q2_specs) -> RingPresentation:
             if sum(b) > 1:
                 raise ParseError("q2 entries must have y-degree at most 1", lineno, 0)
         q2[(i, j)] = dict(poly.terms)
-    return RingPresentation(m, n, q1=q1, q2=q2, name=f"custom({m},{n})")
+    ring = RingPresentation(m, n, q1=q1, q2=q2, name=f"custom({m},{n})")
+    if not validate_presentation(ring):
+        raise ParseError("custom relations give a non-associative product")
+    return ring
 
 
 def parse_problem_file(path: str) -> Problem:

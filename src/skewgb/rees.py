@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import RegionError
+from .errors import RegionError, SkewGbError
 from .ring import RingPresentation, SkewPoly
 from .weights import WeightVector, pr_contains, weight_degree
 
@@ -51,6 +51,13 @@ def _check_weight(P: RingPresentation, w: WeightVector):
         raise RegionError(f"weight {w} is not in the polynomial region of {P.name}")
 
 
+def _x0_power(e0: Fraction) -> int:
+    """An x0 exponent, a natural number whenever ``_check_weight`` passed."""
+    if e0 < 0 or e0.denominator != 1:
+        raise SkewGbError(f"homogenized relation term has x0 exponent {e0}")
+    return int(e0)
+
+
 def rees_presentation(P: RingPresentation, w: WeightVector) -> ReesPresentation:
     """Homogenized presentation over B[x0] with x0 of weight 1.
 
@@ -69,9 +76,8 @@ def rees_presentation(P: RingPresentation, w: WeightVector) -> ReesPresentation:
             lhs_deg = w.u[j - 1] + w.v[i - 1]
             table = {}
             for (a, _b), c in entry.terms.items():
-                e0 = lhs_deg - w.dot((a, (0,) * n))
-                assert e0 >= 0 and e0.denominator == 1
-                table[(int(e0),) + a] = c
+                e0 = _x0_power(lhs_deg - w.dot((a, (0,) * n)))
+                table[(e0,) + a] = c
             q1[(i, j + 1)] = table
     q2 = {}
     for (i, j) in [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i > j]:
@@ -81,9 +87,8 @@ def rees_presentation(P: RingPresentation, w: WeightVector) -> ReesPresentation:
         lhs_deg = w.v[i - 1] + w.v[j - 1]
         table = {}
         for (a, b), c in entry.terms.items():
-            e0 = lhs_deg - w.dot((a, b))
-            assert e0 >= 0 and e0.denominator == 1
-            table[((int(e0),) + a, b)] = c
+            e0 = _x0_power(lhs_deg - w.dot((a, b)))
+            table[((e0,) + a, b)] = c
         q2[(i, j)] = table
     ring = RingPresentation(m + 1, n, q1=q1, q2=q2, name=f"rees({P.name})")
     # display x0 with its own name; remaining variables keep theirs

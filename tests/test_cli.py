@@ -126,6 +126,12 @@ class TestExitCodes:
         assert code == 2 and "bad weight entry 'a'" in err
         code, _, err = run(["gb", EXAMPLE_B, "--weight", "1,1,1"], capsys)
         assert code == 2 and "weight has 3 entries, ring needs 4" in err
+        jacobi = tmp_path / "jacobi.txt"
+        jacobi.write_text(
+            "ring: custom 0 3\nq2 2 1: y3\nq2 3 2: y1\nq2 3 1: y1\nideal: y1\n"
+        )
+        code, out, err = run(["gb", str(jacobi)], capsys)
+        assert code == 2 and out == "" and "non-associative" in err
 
     def test_region_error(self, tmp_path, capsys):
         f = tmp_path / "p.txt"

@@ -109,6 +109,50 @@ class TestEpsilonThreshold:
         assert eps0 > 0
 
 
+class TestOneBasisPerWeight:
+    """Each public call computes the basis at a weight at most once."""
+
+    @pytest.fixture
+    def weighted_calls(self, monkeypatch):
+        import skewgb.fan as fan
+        import skewgb.groebner as groebner
+
+        calls = []
+        real = groebner.groebner_wrt_weight
+
+        def counting(P, gens, w, *args, **kw):
+            calls.append(tuple(w.entries))
+            return real(P, gens, w, *args, **kw)
+
+        monkeypatch.setattr(groebner, "groebner_wrt_weight", counting)
+        monkeypatch.setattr(fan, "groebner_wrt_weight", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "entries, expected", [((1, 3), 1), ((3, -1), 2)]
+    )
+    def test_cone_of(self, weighted_calls, entries, expected):
+        cone = cone_of(A1, PARABOLA, _w(A1, entries))
+        assert cone.inside_gr
+        assert len(weighted_calls) == expected
+        assert len(set(weighted_calls)) == expected
+
+    def test_gr_region_contains_mixed_sign(self, weighted_calls):
+        assert gr_region_contains(A1, PARABOLA, _w(A1, [3, -1]))
+        assert len(weighted_calls) <= 2
+
+    def test_gr_region_contains_positive(self, weighted_calls):
+        assert gr_region_contains(A1, PARABOLA, _w(A1, [1, 3]))
+        assert weighted_calls == []
+
+    def test_epsilon_threshold_verified(self, weighted_calls):
+        eps0 = epsilon_threshold(
+            A1, PARABOLA, _w(A1, [1, 3]), _w(A1, [1, 0]), verify=True
+        )
+        assert eps0 > 0
+        assert len(weighted_calls) <= 3
+
+
 class TestWalk:
     def test_parabola_walk_two_segments(self):
         segs = walk(A1, PARABOLA, _w(A1, [1, 3]), _w(A1, [3, 1]))

@@ -209,6 +209,44 @@ class TestWeightedGroebner:
         ]
 
 
+class TestCanonicalInitialIdeal:
+    """``initial_ideal_weight`` lists are equal exactly when the ideals
+    are; the fan compares initial ideals with ``==`` on this contract."""
+
+    # walls and positive multiples next to the corpus's generic weights
+    EXTRA = {
+        2: [(2, 1), (4, 2), (Fraction(3, 2), Fraction(-1, 2))],
+        4: [(1, 1, 1, 1), (2, 2, 2, 2), (1, 1, 2, 2), (4, 4, -2, -2)],
+    }
+
+    def test_list_equality_is_ideal_equality(self):
+        verdicts = []
+        for entry in CORPUS:
+            P, gens = entry["ring"], entry["gens"]
+            S = P.graded()
+            weights = list(entry["weights"]) + [
+                WeightVector.for_ring(P, w) for w in self.EXTRA[P.m + P.n]
+            ]
+            inits = [initial_ideal_weight(P, gens, w) for w in weights]
+            for i, lhs in enumerate(inits):
+                for rhs in inits[i + 1:]:
+                    equal = ideals_equal_comm(S, lhs, rhs)
+                    assert (lhs == rhs) == equal, entry["name"]
+                    verdicts.append(equal)
+        # both verdicts occur, so neither side of the contract is vacuous
+        assert verdicts.count(False) > 100 and verdicts.count(True) > 100
+
+    def test_generating_set_does_not_matter(self):
+        gens = [A2.y(1) ** 2 - A2.y(2), A2.x(1) * A2.y(1) + 2 * A2.x(2) * A2.y(2)]
+        other = [gens[1], gens[0] + A2.x(1) * gens[1], gens[0]]
+        for entries in ((1, 1, 1, 1), (1, 1, 1, 3), (2, 2, -1, -1)):
+            w = WeightVector.for_ring(A2, entries)
+            for kind in ("lex", "grlex", "grevlex"):
+                assert initial_ideal_weight(A2, gens, w, kind=kind) == (
+                    initial_ideal_weight(A2, other, w, kind=kind)
+                )
+
+
 class TestUniversal:
     def test_parabola_universal(self):
         basis = universal_gb(A1, [A1.y(1) ** 2 - A1.x(1)])

@@ -94,6 +94,18 @@ class TestProblems:
         with pytest.raises(ParseError):
             parse_problem("ring: custom 1 1\nq1 1 1: y1\n")
 
+    def test_custom_ring_rejects_non_associative_relations(self):
+        # [y2, y1] = y3, [y3, y2] = y1, [y3, y1] = y1 breaks the Jacobi identity
+        text = (
+            "ring: custom 0 3\n"
+            "q2 2 1: y3\n"
+            "q2 3 2: y1\n"
+            "q2 3 1: y1\n"
+            "ideal: y1\n"
+        )
+        with pytest.raises(ParseError, match="non-associative"):
+            parse_problem(text)
+
     def test_missing_ring(self):
         with pytest.raises(ParseError):
             parse_problem("ideal: y1\n")
