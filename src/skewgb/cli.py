@@ -70,7 +70,8 @@ def cmd_charvar(args) -> int:
 
 def cmd_fan(args) -> int:
     problem = parse_problem_file(args.file)
-    fan = enumerate_fan(problem.ring, problem.generators, max_cones=args.max_cones)
+    seed = None if args.seed is None else parse_weight(problem.ring, args.seed)
+    fan = enumerate_fan(problem.ring, problem.generators, seed=seed, max_cones=args.max_cones)
     payload = {
         "complete": fan.complete,
         "cones": [
@@ -182,6 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("fan", cmd_fan)
     p.add_argument("--max-cones", type=int, default=512)
+    p.add_argument("--seed", default=None, help="comma-separated generic start weight")
 
     p = add("walk", cmd_walk)
     p.add_argument("--from", dest="from_weight", default=None)

@@ -377,12 +377,21 @@ def multiply(P: RingPresentation, f: SkewPoly, g: SkewPoly) -> SkewPoly:
 
 
 def validate_presentation(P: RingPresentation) -> bool:
-    """Consistency check of the relation tables.
+    """Certificate that the relation tables define a ring with PBW basis.
 
-    Verifies antisymmetry of Q2, the y-degree bound on its entries, and
-    associativity of the normalized product on all generator triples.
-    This is a necessary condition for the standard monomials to be a
-    k-basis (an overlap/diamond check), not a certified sufficient one.
+    Verifies antisymmetry of Q2 and associativity of the product on all
+    generator triples (the constructor already bounds the y-degree of
+    Q2).  Read the relations as rewrite rules ``y_i x_j -> x_j y_i + Q1_ij``,
+    ``y_i y_j -> y_j y_i + Q2_ij`` (i > j) and ``x_j x_k -> x_k x_j``
+    (j > k).  Every left side has length two and rewriting terminates: a
+    step lowers the number of y's, or keeps the letters and removes an
+    inversion.  So the only ambiguities are overlaps of three generators,
+    and both sides of each triple's check are reductions of its word.  By
+    Bergman's diamond lemma (Adv. Math. 1978) a True result certifies that
+    the standard monomials ``x^a y^b`` are a k-basis, so every product the
+    kernel returns is the unique standard expression.  A False result
+    means the tables define no such ring, and the kernel's products over
+    them are not well defined.
     """
     n = P.n
     for i in range(1, n + 1):

@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
-``normalize_word_random`` resolves a *randomly chosen* descent at each
-step (the library kernel always resolves the first descent), providing
-a strategy-independence oracle.  ``multiply_naive`` multiplies standard
+``normalize_word_random`` rewrites a generator word by resolving a
+*randomly chosen* descent at each step, providing a strategy-independence
+oracle; the library kernel rewrites no words, it moves one ``y_i`` at a
+time with the derivation rule.  ``multiply_naive`` multiplies standard
 expressions by expanding both factors to generator words.  The oracles
 work through the public presentation API only.
 """

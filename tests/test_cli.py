@@ -91,6 +91,16 @@ class TestSubcommands:
         maximal = [c for c in payload["cones"] if c["initialIdeal"] in (["y1^2"], ["x1"])]
         assert len(maximal) == 2
 
+    def test_fan_seed(self, capsys):
+        # the same cones from either side of the wall; the seed's cone
+        # keeps the seed (scaled to integers) as its weight
+        _, unseeded, _ = run(["fan", PARABOLA, "--json"], capsys)
+        for seed, weight in (("3,-1", "weight (3,-1)"), ("1/2,3", "weight (1,6)")):
+            code, out, _ = run(["fan", PARABOLA, "--json", "--seed", seed], capsys)
+            assert code == 0 and out == unseeded
+            code, out, _ = run(["fan", PARABOLA, "--seed", seed], capsys)
+            assert code == 0 and weight in out
+
     def test_walk(self, capsys):
         code, out, _ = run(["walk", PARABOLA, "--json"], capsys)
         assert code == 0
@@ -147,6 +157,14 @@ class TestExitCodes:
         )
         code, _, err = run(["gb", str(f)], capsys)
         assert code == 4 and "budget" in err
+
+    def test_fan_seed_errors(self, capsys):
+        code, out, err = run(["fan", PARABOLA, "--seed", "2,1"], capsys)
+        assert code == 1 and out == "" and "wall" in err
+        code, _, err = run(["fan", PARABOLA, "--seed", "1,1,1"], capsys)
+        assert code == 2 and "weight has 3 entries, ring needs 2" in err
+        code, _, err = run(["fan", PARABOLA, "--seed=-1,-1"], capsys)
+        assert code == 3 and "region error" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(["gb", "/nonexistent/path.txt"], capsys)
