@@ -159,6 +159,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_ERROR
 
 
+def _attach_negative_weights(argv: List[str]) -> List[str]:
+    """Join a weight option to a following value that starts with a minus
+    sign (``--seed -1,-1`` becomes ``--seed=-1,-1``), which argparse would
+    otherwise read as an option of its own."""
+    out: List[str] = []
+    for arg in argv:
+        weight_option = out and out[-1] in ("--weight", "--seed", "--from", "--to")
+        if weight_option and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewgb",
@@ -205,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_weights(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -34,7 +34,6 @@ from .weights import (
 )
 
 _MAX_CONES_DEFAULT = 512
-_EPS_REFINE_ROUNDS = 40
 
 
 def _mono_vec(mono) -> Tuple[Fraction, ...]:
@@ -231,7 +230,6 @@ def cone_of(
     P: RingPresentation, gens: Sequence[SkewPoly], w: WeightVector, **kw
 ) -> GroebnerCone:
     """The Groebner cone (equivalence class) of w for the ideal of gens."""
-    w.check(P)
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
     w_int = _integral_scale(w)
@@ -260,7 +258,6 @@ def gr_region_contains(
     P: RingPresentation, gens: Sequence[SkewPoly], w: WeightVector, **kw
 ) -> bool:
     """Whether the class of w contains a positive weight (w in GR(I))."""
-    w.check(P)
     if not pr_contains(P, w):
         return False
     if w.is_positive():
@@ -299,34 +296,21 @@ def epsilon_threshold(
     gens: Sequence[SkewPoly],
     w: WeightVector,
     w_prime: WeightVector,
-    verify: bool = True,
     **kw,
 ) -> Fraction:
     """Largest eps0 such that for all 0 < eps < eps0 the perturbed weight
     w + eps*w' stays in the polynomial region and satisfies
     in_{w + eps w'}(I) = in_{w'}(in_w(I)).
 
-    The bound is exact, read off from exponent differences on a marked
-    basis; when ``verify`` is set the identity is checked by direct
-    computation at eps0/2.
+    The bound is exact, read off from exponent differences on the marked
+    reduced basis at w; walks and facet crossings step by the same rule.
     """
-    w.check(P)
     w_prime.check(P)
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
     w_int = _integral_scale(w)
-    basis, inner, _inside, _rep = _reduced_marked_basis(P, gens, w_int, **kw)
-    eps0 = _epsilon_bound(P, basis, w_int, w_prime)
-    if verify:
-        perturbed = w_int + w_prime.scale(eps0 / 2)
-        lhs = initial_ideal_weight(P, gens, perturbed, **kw)
-        rhs = initial_ideal_weight(P.graded(), inner, w_prime, **kw)
-        if lhs != rhs:
-            raise SkewGbError(
-                "epsilon threshold verification failed at eps0/2; "
-                f"w={w_int} w'={w_prime} eps0={eps0}"
-            )
-    return eps0
+    basis, _init, _inside, _rep = _reduced_marked_basis(P, gens, w_int, **kw)
+    return _epsilon_bound(P, basis, w_int, w_prime)
 
 
 # -- walks -------------------------------------------------------------
@@ -362,21 +346,34 @@ def walk(
 
     Both endpoints must lie in the polynomial region, and so must the
     whole segment (the region is convex, so this is automatic).  Returns
-    the visited cones with exact rational breakpoints; each wall is
-    certified by checking that the initial ideals on both sides match
-    the adjacent cones.
+    the visited cones with exact rational breakpoints.  From the start
+    and from each wall the walk steps into the next cone by the exact
+    epsilon bound read off the basis there, so no cone is skipped; each
+    wall is certified by checking that the initial ideal before it
+    matches the cone, that the wall lies in the closure of the cone
+    after it, and that the wall itself is not a maximal cone.
     """
     for w in (w_start, w_end):
-        w.check(P)
         if not pr_contains(P, w):
             raise RegionError(f"walk endpoint {w} not in the polynomial region")
+    direction = w_end - w_start
     segments: List[WalkSegment] = []
     t_enter = Fraction(0)
-    w_rep = w_start
+    w_here = w_start
+    here = cone_of(P, gens, w_here, **kw)
     while True:
         if len(segments) >= max_cones:
             raise BudgetExceeded("walk cones", max_cones)
-        cone = cone_of(P, gens, w_rep, **kw)
+        # step off the entry point into the next cone; at the unscaled
+        # point and along w_end - w_start the bound is in units of t
+        eps = _epsilon_bound(P, here.basis, w_here, direction)
+        step = (1 - t_enter) / 2
+        while step >= eps:
+            step /= 2
+        w_rep = _segment_point(w_start, w_end, t_enter + step)
+        cone = here if here.contains(w_rep) else cone_of(P, gens, w_rep, **kw)
+        if not cone.contains(w_here, closure=True):
+            raise SkewGbError(f"walk stepped past a cone after t={t_enter}")
         # exit parameter: first root of a strict form along the segment
         t_exit = Fraction(1)
         entries_s = w_start.entries
@@ -397,22 +394,12 @@ def walk(
         before = _segment_point(w_start, w_end, (t_enter + t_exit) / 2)
         if initial_ideal_weight(P, gens, before, **kw) != list(cone.initial_gens):
             raise SkewGbError(f"walk certification failed before wall t={t_exit}")
-        # step strictly past the wall, close enough to stay in one cone
-        t_next = t_exit + (Fraction(1) - t_exit) / 2
-        while True:
-            w_next = _segment_point(w_start, w_end, t_next)
-            half = t_exit + (t_next - t_exit) / 2
-            if same_class(P, gens, w_next, _segment_point(w_start, w_end, half), **kw):
-                break
-            t_next = half
-            if t_next - t_exit < Fraction(1, 2 ** _EPS_REFINE_ROUNDS):
-                raise BudgetExceeded("walk wall refinement", _EPS_REFINE_ROUNDS)
         # the wall itself is a genuine lower-dimensional class
-        wall_cone = cone_of(P, gens, _segment_point(w_start, w_end, t_exit), **kw)
-        if wall_cone.is_maximal():
+        w_here = _segment_point(w_start, w_end, t_exit)
+        here = cone_of(P, gens, w_here, **kw)
+        if here.is_maximal():
             raise SkewGbError(f"expected a wall at t={t_exit}, found a maximal cone")
         t_enter = t_exit
-        w_rep = _segment_point(w_start, w_end, t_next)
     return segments
 
 
@@ -514,7 +501,8 @@ def _cross_facet(
     d = WeightVector(
         [-x for x in facet[: P.m]], [-x for x in facet[P.m:]]
     )
-    eps = epsilon_threshold(P, gens, p, d, verify=False, **kw)
+    basis, _init, _inside, _rep = _reduced_marked_basis(P, gens, p, **kw)
+    eps = _epsilon_bound(P, basis, p, d)
     candidate = _integral_scale(p + d.scale(eps / 2))
     if not pr_contains(P, candidate):
         return None

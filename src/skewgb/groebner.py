@@ -338,6 +338,15 @@ def _rees_weight_order(
     return w_plus, shifted
 
 
+def _dehomogenized(
+    P: RingPresentation, elements: Iterable[SkewPoly], order: MonomialOrder
+) -> List[SkewPoly]:
+    """Rees-ring elements with x0 stripped, dehomogenized into P and made
+    monic under ``order``; zeros and repeats dropped, first seen first."""
+    images = (dehomogenize(strip_x0(g), P) for g in elements)
+    return list(dict.fromkeys(_monic(d, order) for d in images if not d.is_zero()))
+
+
 def groebner_wrt_weight(
     P: RingPresentation,
     gens: Sequence[SkewPoly],
@@ -358,7 +367,6 @@ def groebner_wrt_weight(
     dehomogenized result is a Groebner basis for (u, v) but need not be
     auto-reduced (full reduction under a non-term order can diverge).
     """
-    w.check(P)
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
     w_int = _integral_scale(w)
@@ -384,16 +392,7 @@ def groebner_wrt_weight(
         )
     else:
         raise BudgetExceeded("x0-saturation rounds", _SATURATION_ROUNDS)
-    result = []
-    seen = set()
-    for g in gb.elements:
-        d = dehomogenize(strip_x0(g), P)
-        if d.is_zero():
-            continue
-        d = _monic(d, ord_w)
-        if d not in seen:
-            seen.add(d)
-            result.append(d)
+    result = _dehomogenized(P, gb.elements, ord_w)
     result.sort(key=lambda g: ord_w.key(ord_w.leading_monomial(g)))
     return result, ord_w
 
@@ -470,17 +469,8 @@ def universal_gb(
     rz = rees_presentation(P, w_pos)
     hgens = [homogenize(P, w_pos, g, rz) for g in gens]
     fan = enumerate_fan(rz.ring, hgens, **kw)
-    ord0 = MonomialOrder(kind)
-    seen = set()
-    union = []
-    for cone in fan.cones:
-        for g in cone.basis:
-            d = dehomogenize(strip_x0(g), P)
-            if d.is_zero():
-                continue
-            d = _monic(d, ord0)
-            if d not in seen:
-                seen.add(d)
-                union.append(d)
+    union = _dehomogenized(
+        P, (g for cone in fan.cones for g in cone.basis), MonomialOrder(kind)
+    )
     union.sort(key=lambda g: sorted(g.terms))
     return union

@@ -35,6 +35,7 @@ from skewgb.weights import NEG_INF
 
 from corpus import CORPUS
 from oracle import count_monomials_outside, multiply_naive, normalize_word_random
+from test_fan import epsilon_identity_holds
 from test_ring import random_poly
 
 A1 = weyl_presentation(1)
@@ -153,10 +154,11 @@ def test_criterion_5_gk_dim_independence_and_walls():
             t = prev.t_hi
             ok = ok and t == nxt.t_lo and 0 < t < 1
             wall = w_start.scale(1 - t) + w_end.scale(t)
-            # the epsilon identity on both sides of the wall (verify=True
-            # raises if in_{wall + eps d}(I) != in_d(in_wall(I)))
-            epsilon_threshold(P, gens, wall, direction, verify=True)
-            epsilon_threshold(P, gens, wall, direction.scale(-1), verify=True)
+            # the epsilon identity on both sides of the wall:
+            # in_{wall + eps d}(I) = in_d(in_wall(I)) below the threshold
+            for d in (direction, direction.scale(-1)):
+                eps0 = epsilon_threshold(P, gens, wall, d)
+                ok = ok and epsilon_identity_holds(P, gens, wall, d, eps0)
     _report(5, "GK dimension weight-independence", ok)
 
 

@@ -163,8 +163,24 @@ class TestExitCodes:
         assert code == 1 and out == "" and "wall" in err
         code, _, err = run(["fan", PARABOLA, "--seed", "1,1,1"], capsys)
         assert code == 2 and "weight has 3 entries, ring needs 2" in err
-        code, _, err = run(["fan", PARABOLA, "--seed=-1,-1"], capsys)
-        assert code == 3 and "region error" in err
+        for argv in (["--seed=-1,-1"], ["--seed", "-1,-1"]):
+            code, out, err = run(["fan", PARABOLA, *argv], capsys)
+            assert code == 3 and out == "" and "region error" in err
+
+    @pytest.mark.parametrize(
+        "argv, option, value",
+        [
+            (["charvar", PARABOLA], "--weight", "-1,3"),
+            (["gb", EXAMPLE_B, "--json"], "--weight", "-1,1,2,1"),
+            (["walk", PARABOLA, "--to", "3,1"], "--from", "-1,3"),
+            (["walk", PARABOLA, "--from", "1,3"], "--to", "-1,3"),
+            (["fan", PARABOLA], "--seed", "-1,3"),
+        ],
+    )
+    def test_negative_weight_as_separate_argument(self, capsys, argv, option, value):
+        joined = run(argv + [f"{option}={value}"], capsys)
+        assert joined[0] == 0
+        assert run(argv + [option, value], capsys) == joined
 
     def test_missing_file(self, capsys):
         code, _, err = run(["gb", "/nonexistent/path.txt"], capsys)

@@ -1,5 +1,8 @@
 """Groebner cones, epsilon thresholds, walks, fan enumeration."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ from skewgb import (
     enumerate_fan,
     epsilon_threshold,
     gr_region_contains,
+    initial_ideal_weight,
     same_class,
     sl2_presentation,
     walk,
@@ -32,6 +36,19 @@ def _w(P, entries):
 
 def _example_b_gens():
     return [A2.y(1) ** 2 - A2.y(2), A2.x(1) * A2.y(1) + 2 * A2.x(2) * A2.y(2)]
+
+
+def epsilon_identity_holds(P, gens, w, d, eps0):
+    """Whether in_{w + eps d}(I) = in_d(in_w(I)) at eps = eps0 / 2.
+
+    eps0 is in the units of w scaled to integers, as epsilon_threshold
+    returns it.
+    """
+    scale = math.lcm(*(x.denominator for x in w.entries))
+    perturbed = w.scale(scale) + d.scale(eps0 / 2)
+    inner = initial_ideal_weight(P, gens, w)
+    lhs = initial_ideal_weight(P, gens, perturbed)
+    return lhs == initial_ideal_weight(P.graded(), inner, d)
 
 
 class TestConeOf:
@@ -89,24 +106,24 @@ class TestSameClass:
 
 class TestEpsilonThreshold:
     def test_parabola_exact_value(self):
-        eps0 = epsilon_threshold(
-            A1, PARABOLA, _w(A1, [1, 1]), _w(A1, [1, -1])
-        )
+        w, d = _w(A1, [1, 1]), _w(A1, [1, -1])
+        eps0 = epsilon_threshold(A1, PARABOLA, w, d)
         assert eps0 == Fraction(1, 3)
+        assert epsilon_identity_holds(A1, PARABOLA, w, d, eps0)
 
     def test_interior_direction_defaults(self):
         # moving within the same open cone: only PR boundary limits apply
-        eps0 = epsilon_threshold(
-            A1, PARABOLA, _w(A1, [1, 3]), _w(A1, [0, 1])
-        )
+        w, d = _w(A1, [1, 3]), _w(A1, [0, 1])
+        eps0 = epsilon_threshold(A1, PARABOLA, w, d)
         assert eps0 > 0
+        assert epsilon_identity_holds(A1, PARABOLA, w, d, eps0)
 
     def test_verified_identity_example_b(self):
         gens = _example_b_gens()
-        eps0 = epsilon_threshold(
-            A2, gens, _w(A2, [1, 1, 1, 3]), _w(A2, [1, 2, 1, 1])
-        )
+        w, d = _w(A2, [1, 1, 1, 3]), _w(A2, [1, 2, 1, 1])
+        eps0 = epsilon_threshold(A2, gens, w, d)
         assert eps0 > 0
+        assert epsilon_identity_holds(A2, gens, w, d, eps0)
 
 
 class TestOneBasisPerWeight:
@@ -146,11 +163,11 @@ class TestOneBasisPerWeight:
         assert weighted_calls == []
 
     def test_epsilon_threshold_verified(self, weighted_calls):
-        eps0 = epsilon_threshold(
-            A1, PARABOLA, _w(A1, [1, 3]), _w(A1, [1, 0]), verify=True
-        )
+        w, d = _w(A1, [1, 3]), _w(A1, [1, 0])
+        eps0 = epsilon_threshold(A1, PARABOLA, w, d)
         assert eps0 > 0
-        assert len(weighted_calls) <= 3
+        assert len(weighted_calls) == 1
+        assert epsilon_identity_holds(A1, PARABOLA, w, d, eps0)
 
 
 class TestWalk:
@@ -174,12 +191,93 @@ class TestWalk:
         assert segs[0].t_lo == 0 and segs[0].t_hi == 1
 
     def test_walk_example_b(self):
+        # the wall at t = 1/2 splits the cones of x2^2*y2^2 and x1^2*y2
         gens = _example_b_gens()
         segs = walk(A2, gens, _w(A2, [1, 1, 1, 3]), _w(A2, [3, 1, 2, 1]))
-        assert segs[0].t_lo == 0 and segs[-1].t_hi == 1
         for a, b in zip(segs, segs[1:]):
-            assert a.t_hi == b.t_lo
             assert a.cone.key() != b.cone.key()
+        assert _walls_and_ideals(segs) == (
+            [Fraction(1, 4), Fraction(2, 5), Fraction(1, 2)],
+            [
+                ["y2", "x2*y1^2"],
+                ["y1^2", "x2*y2"],
+                ["y1^2", "x2*y1*y2", "x2^2*y2^2", "x1*y1"],
+                ["y1^2", "x2*y1*y2", "x1*y1", "x1^2*y2"],
+            ],
+        )
+
+    @pytest.mark.parametrize(
+        "triple, walls, ideals",
+        [
+            # the thin cone of x1^2*y1^2 on (1/6, 3/10) is not stepped over
+            (
+                ((5, 0), (2, 2), (0, 3)),
+                [Fraction(1, 6), Fraction(3, 10)],
+                [["y1^3"], ["x1^2*y1^2"], ["x1^5"]],
+            ),
+            # (1,3) ties x1^3*y1 with y1^2: the walk leaves that wall at once
+            (((4, 0), (3, 1), (0, 2)), [Fraction(1, 2)], [["x1^3*y1"], ["x1^4"]]),
+        ],
+    )
+    def test_every_a1_wall(self, triple, walls, ideals):
+        segs = walk(A1, [_a1_poly(triple)], _w(A1, [1, 3]), _w(A1, [3, 1]))
+        assert _walls_and_ideals(segs) == (walls, ideals)
+
+    def test_trinomials_match_newton_envelope(self):
+        # for a principal ideal in_w<f> = <in_w f>, so the walls of a walk
+        # are the breakpoints of the upper envelope of f's exponent lines
+        monomials = [(a, b) for a in range(7) for b in range(7) if a or b]
+        triples = random.Random(8).sample(list(itertools.combinations(monomials, 3)), 98)
+        triples += [((0, 3), (2, 2), (5, 0)), ((0, 2), (3, 1), (4, 0))]
+        for triple in triples:
+            segs = walk(A1, [_a1_poly(triple)], _w(A1, [1, 3]), _w(A1, [3, 1]))
+            assert [s.t_hi for s in segs[:-1]] == _envelope_walls(triple), triple
+            for s in segs:
+                top = _envelope_top(triple, (s.t_lo + s.t_hi) / 2)
+                assert [dict(h.terms) for h in s.cone.initial_gens] == [
+                    {((a,), (b,)): 1 for a, b in top}
+                ], (triple, s.t_lo)
+
+
+def _a1_poly(exponents):
+    """The sum of x1^a*y1^b over the given (a, b)."""
+    return sum((A1.x(1) ** a * A1.y(1) ** b for a, b in exponents), A1.zero())
+
+
+def _walls_and_ideals(segs):
+    assert segs[0].t_lo == 0 and segs[-1].t_hi == 1
+    for a, b in zip(segs, segs[1:]):
+        assert a.t_hi == b.t_lo
+    return (
+        [s.t_hi for s in segs[:-1]],
+        [[str(h) for h in s.cone.initial_gens] for s in segs],
+    )
+
+
+def _envelope_top(exponents, t):
+    """The (a, b) of top degree at the weight (1 + 2t, 3 - 2t)."""
+    degree = {e: e[0] * (1 + 2 * t) + e[1] * (3 - 2 * t) for e in exponents}
+    top = max(degree.values())
+    return sorted(e for e in exponents if degree[e] == top)
+
+
+def _envelope_walls(exponents):
+    """The t in (0, 1) where the top-degree exponents change."""
+    roots = set()
+    for e, f in itertools.combinations(exponents, 2):
+        # e and f tie where (e - f) . (1 + 2t, 3 - 2t) = 0
+        slope = 2 * ((e[0] - f[0]) - (e[1] - f[1]))
+        if slope:
+            t = Fraction(-((e[0] - f[0]) + 3 * (e[1] - f[1])), slope)
+            if 0 < t < 1:
+                roots.add(t)
+    cuts = [Fraction(0)] + sorted(roots) + [Fraction(1)]
+    return [
+        t
+        for lo, t, hi in zip(cuts, cuts[1:], cuts[2:])
+        if _envelope_top(exponents, t) != _envelope_top(exponents, (lo + t) / 2)
+        or _envelope_top(exponents, t) != _envelope_top(exponents, (t + hi) / 2)
+    ]
 
 
 class TestEnumerateFan:
