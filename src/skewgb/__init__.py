@@ -42,18 +42,17 @@ from .fan import (
     epsilon_threshold,
     gr_region_contains,
     same_class,
+    universal_gb,
     walk,
 )
 from .groebner import (
     GroebnerBasis,
     MonomialIdeal,
     buchberger,
-    comm_groebner,
     groebner_wrt_weight,
     initial_ideal_order,
     initial_ideal_weight,
     normal_form,
-    universal_gb,
 )
 from .orders import KINDS, MonomialOrder, validate_order
 from .parsing import Problem, parse_expression, parse_problem, parse_problem_file
@@ -116,7 +115,6 @@ __all__ = [
     "WeightVector",
     "buchberger",
     "char_ideal",
-    "comm_groebner",
     "commutative_presentation",
     "cone_of",
     "degree",

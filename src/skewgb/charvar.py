@@ -17,7 +17,7 @@ from .errors import RegionError, SkewGbError
 from .groebner import (
     MonomialIdeal,
     _integral_scale,
-    comm_groebner,
+    buchberger,
     initial_ideal_weight,
 )
 from .orders import MonomialOrder
@@ -142,10 +142,6 @@ class HilbertSeries:
             return 0
         _num, mult = self._cancelled_numerator()
         return len(self.denominator) - mult
-
-    def value_at_one_after_cancel(self) -> int:
-        num, _mult = self._cancelled_numerator()
-        return sum(num.values())
 
     def to_text(self) -> str:
         if self.is_zero():
@@ -295,7 +291,7 @@ def _monomialize(S: RingPresentation, gens: Sequence[SkewPoly]) -> MonomialIdeal
         return MonomialIdeal(S.m, S.n, [])
     if all(len(g.terms) == 1 for g in gens):
         return MonomialIdeal(S.m, S.n, [next(iter(g.terms)) for g in gens])
-    gb = comm_groebner(S, gens, MonomialOrder("grevlex"))
+    gb = buchberger(S, gens, MonomialOrder("grevlex"))
     return gb.initial_ideal(S.m, S.n)
 
 

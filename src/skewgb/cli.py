@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
 from .charvar import gk_dim, verify_component_bound
 from .errors import BudgetExceeded, ParseError, RegionError, SkewGbError
-from .fan import enumerate_fan, walk
-from .groebner import buchberger, groebner_wrt_weight, universal_gb
+from .fan import enumerate_fan, universal_gb, walk
+from .groebner import buchberger, groebner_wrt_weight
 from .orders import KINDS, MonomialOrder
 from .parsing import Problem, parse_problem_file, parse_weight
 from .weights import WeightVector, pr_halfspaces
@@ -140,8 +141,6 @@ def cmd_universal(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    import os
-
     failures = 0
     for name in sorted(os.listdir(args.corpus)):
         if not name.endswith(".txt"):

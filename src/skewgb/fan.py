@@ -6,7 +6,8 @@ differences of a suitably marked reduced Groebner basis: exponents tied
 at the top of each basis element give equalities, everything below gives
 strict inequalities, and the defining half-spaces of the polynomial
 region are always included.  Full-dimensional cones correspond to
-monomial initial ideals; the fan is enumerated by crossing facets.
+monomial initial ideals; the fan is enumerated by crossing facets, and
+the union of its marker bases is a universal Groebner basis.
 """
 
 from __future__ import annotations
@@ -16,16 +17,17 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceeded, RegionError, SkewGbError
 from .groebner import (
-    MonomialIdeal,
+    _dehomogenized,
     _initial_ideal_of,
     _integral_scale,
     initial_ideal_weight,
     groebner_wrt_weight,
 )
-from .polyhedra import _gauss, find_point, irredundant_strict
+from .orders import MonomialOrder
+from .polyhedra import find_point, irredundant_strict
+from .rees import homogenize, rees_presentation
 from .ring import RingPresentation, SkewPoly
 from .weights import (
-    HalfspaceSystem,
     WeightVector,
     _normalize_form,
     pr_contains,
@@ -95,11 +97,6 @@ class GroebnerCone:
         self.inside_gr = inside_gr
         self.positive_rep = positive_rep
 
-    @property
-    def dim_deficiency(self) -> int:
-        """Number of independent equality constraints (0 for maximal cones)."""
-        return len(_gauss(self.ring.m + self.ring.n, self.equalities))
-
     def is_maximal(self) -> bool:
         return not self.equalities
 
@@ -107,13 +104,6 @@ class GroebnerCone:
         """Canonical identifier: the initial ideal's generator supports."""
         return tuple(
             tuple(sorted(h.terms)) for h in self.initial_gens
-        )
-
-    def monomial_initial_ideal(self) -> MonomialIdeal:
-        if not all(len(h.terms) == 1 for h in self.initial_gens):
-            raise SkewGbError("initial ideal of a non-maximal cone is not monomial")
-        return MonomialIdeal(
-            self.ring.m, self.ring.n, [next(iter(h.terms)) for h in self.initial_gens]
         )
 
     def contains(self, w: WeightVector, closure: bool = False) -> bool:
@@ -126,9 +116,6 @@ class GroebnerCone:
             if val < 0 or (val == 0 and not closure):
                 return False
         return True
-
-    def halfspaces(self) -> HalfspaceSystem:
-        return HalfspaceSystem(self.ring.m, self.ring.n, self.strict)
 
     def to_text(self) -> str:
         lines = [f"weight {self.weight}"]
@@ -298,12 +285,14 @@ def epsilon_threshold(
     w_prime: WeightVector,
     **kw,
 ) -> Fraction:
-    """Largest eps0 such that for all 0 < eps < eps0 the perturbed weight
-    w + eps*w' stays in the polynomial region and satisfies
-    in_{w + eps w'}(I) = in_{w'}(in_w(I)).
+    """The largest eps0, capped at 1, such that for all 0 < eps < eps0
+    the perturbed weight w + eps*w' stays in the polynomial region and
+    satisfies in_{w + eps w'}(I) = in_{w'}(in_w(I)).
 
-    The bound is exact, read off from exponent differences on the marked
-    reduced basis at w; walks and facet crossings step by the same rule.
+    Below the cap the bound is exact, read off from exponent differences
+    on the marked reduced basis at w; walks and facet crossings step by
+    the same rule.  When nothing limits the direction (every eps > 0
+    works) the result is 1.
     """
     w_prime.check(P)
     if not pr_contains(P, w):
@@ -561,3 +550,23 @@ def enumerate_fan(
                 queue.append(neighbor)
     ordered = sorted(cones.values(), key=lambda c: c.key())
     return GroebnerFan(P, ordered, adjacency, complete)
+
+
+def universal_gb(
+    P: RingPresentation, gens: Sequence[SkewPoly], kind: str = "grevlex", **kw
+) -> List[SkewPoly]:
+    """A finite universal Groebner basis: union of the marker bases of
+    all maximal cones of the Groebner fan of the homogenized ideal,
+    dehomogenized."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return []
+    w_pos = pr_sample_positive(P)
+    rz = rees_presentation(P, w_pos)
+    hgens = [homogenize(P, w_pos, g, rz) for g in gens]
+    fan = enumerate_fan(rz.ring, hgens, **kw)
+    union = _dehomogenized(
+        P, (g for cone in fan.cones for g in cone.basis), MonomialOrder(kind)
+    )
+    union.sort(key=lambda g: sorted(g.terms))
+    return union

@@ -1,14 +1,14 @@
 """Left-ideal Groebner machinery: division, Buchberger completion,
-initial ideals for term orders and weight vectors, universal bases.
+initial ideals for term orders and weight vectors.
 
 The paper-level theory reduces every weight-vector computation to a
 term-order computation, possibly after Rees homogenization: a weight
 with negative entries gives a non-term order, which is never iterated
 directly; instead the generators are homogenized, the completion runs
-under the lifted order on homogeneous input (terminating degree by
-degree) and the result is dehomogenized.  All completions carry
-configurable step budgets and raise ``BudgetExceeded`` rather than
-returning a truncated answer.
+on the Rees ring under a strictly positive shifted weight that induces
+the same initial forms on homogeneous input, and the result is
+dehomogenized.  All completions carry configurable step budgets and
+raise ``BudgetExceeded`` rather than returning a truncated answer.
 """
 
 from __future__ import annotations
@@ -133,15 +133,14 @@ class MonomialIdeal:
 
 
 class GroebnerBasis:
-    """A (reduced) Groebner basis with marked initial monomials."""
+    """A reduced Groebner basis with marked initial monomials."""
 
-    __slots__ = ("order", "elements", "leads", "reduced")
+    __slots__ = ("order", "elements", "leads")
 
-    def __init__(self, order: MonomialOrder, elements: Sequence[SkewPoly], reduced: bool):
+    def __init__(self, order: MonomialOrder, elements: Sequence[SkewPoly]):
         self.order = order
         self.elements = tuple(elements)
         self.leads = tuple(order.leading_monomial(g) for g in self.elements)
-        self.reduced = reduced
 
     def __iter__(self):
         return iter(self.elements)
@@ -151,9 +150,6 @@ class GroebnerBasis:
 
     def initial_ideal(self, m: int, n: int) -> MonomialIdeal:
         return MonomialIdeal(m, n, self.leads)
-
-    def to_text(self) -> str:
-        return "\n".join(str(g) for g in self.elements)
 
 
 def normal_form(
@@ -236,12 +232,14 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the left ideal generated by gens.
 
-    Requires a validated multiplicative order.  The order must be a term
-    order, or the input homogeneous under the lifted order of a Rees
-    presentation (the caller's termination contract); a pair budget
-    guards the computation either way.  The coprime-lcm criterion is
-    applied only in the commutative case, where it is sound.
+    Requires a validated multiplicative term order; a mixed-sign weight
+    is handled by ``groebner_wrt_weight``, which runs this completion on
+    a Rees ring under a strictly positive shifted weight.  A pair budget
+    guards the computation.  The coprime-lcm criterion is applied only
+    in the commutative case, where it is sound.
     """
+    if not order.is_term_order:
+        raise SkewGbError(f"buchberger requires a term order, not {order!r}")
     if not validate_order(P, order):
         raise SkewGbError("order violates (M1)/(M2) for this presentation")
     pair_limit = _budget("SKEWGB_MAX_PAIRS", DEFAULT_MAX_PAIRS, max_pairs)
@@ -297,15 +295,13 @@ def buchberger(
                 basis[idx] = _monic(r, order) if not r.is_zero() else None
     final = [g for g in basis if g is not None]
     final.sort(key=lambda g: order.key(order.leading_monomial(g)))
-    return GroebnerBasis(order, final, reduced=True)
+    return GroebnerBasis(order, final)
 
 
 def initial_ideal_order(
     P: RingPresentation, gens: Sequence[SkewPoly], order: MonomialOrder, **kw
 ) -> MonomialIdeal:
     """Minimal generators of the initial monomial ideal in_ord(I)."""
-    if not order.is_term_order:
-        raise SkewGbError("initial_ideal_order requires a term order")
     gb = buchberger(P, gens, order, **kw)
     return gb.initial_ideal(P.m, P.n)
 
@@ -422,17 +418,11 @@ def _initial_ideal_of(P: RingPresentation, basis, w: WeightVector, kind: str):
     forms = [initial_form(P, g, w) for g in basis]
     if not forms:
         return []
-    comm = comm_groebner(P.graded(), forms, MonomialOrder(kind))
+    comm = buchberger(P.graded(), forms, MonomialOrder(kind))
     return sorted(comm.elements, key=lambda h: sorted(h.terms))
 
 
 # -- commutative helpers over S ---------------------------------------
-
-
-def comm_groebner(S: RingPresentation, gens: Sequence[SkewPoly], order=None, **kw):
-    if order is None:
-        order = MonomialOrder("grevlex")
-    return buchberger(S, gens, order, **kw)
 
 
 def ideal_member_comm(S: RingPresentation, f: SkewPoly, gb: GroebnerBasis) -> bool:
@@ -447,30 +437,9 @@ def ideals_equal_comm(
     gens_b = [g for g in gens_b if not g.is_zero()]
     if not gens_a or not gens_b:
         return bool(gens_a) == bool(gens_b)
-    gb_a = comm_groebner(S, gens_a)
-    gb_b = comm_groebner(S, gens_b)
+    order = MonomialOrder("grevlex")
+    gb_a = buchberger(S, gens_a, order)
+    gb_b = buchberger(S, gens_b, order)
     return all(ideal_member_comm(S, f, gb_b) for f in gens_a) and all(
         ideal_member_comm(S, f, gb_a) for f in gens_b
     )
-
-
-def universal_gb(
-    P: RingPresentation, gens: Sequence[SkewPoly], kind: str = "grevlex", **kw
-) -> List[SkewPoly]:
-    """A finite universal Groebner basis: union of the marker bases of
-    all maximal cones of the Groebner fan of the homogenized ideal,
-    dehomogenized."""
-    from .fan import enumerate_fan  # local import to avoid a cycle
-
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    w_pos = pr_sample_positive(P)
-    rz = rees_presentation(P, w_pos)
-    hgens = [homogenize(P, w_pos, g, rz) for g in gens]
-    fan = enumerate_fan(rz.ring, hgens, **kw)
-    union = _dehomogenized(
-        P, (g for cone in fan.cones for g in cone.basis), MonomialOrder(kind)
-    )
-    union.sort(key=lambda g: sorted(g.terms))
-    return union

@@ -1,20 +1,17 @@
-"""Multiplicative monomial orders: base term orders, weight refinements
-and the homogenization lift used on Rees rings.
+"""Multiplicative monomial orders: base term orders and weight refinements.
 
 An order is represented by a sort key on standard monomials; larger key
 means larger monomial.  The weight refinement compares the rational
 inner product with (u, v) first and breaks ties with the base term
-order.  The lifted order on a Rees ring compares the x0 exponent first
-(a smaller x0 power is larger) and then applies the underlying order to
-the remaining variables; it is never a term order, but on weight
-homogeneous input every computation it drives terminates degree by
-degree.
+order.  Weights with negative entries are never iterated directly:
+Buchberger runs on a Rees ring under a strictly positive shifted weight
+(see ``groebner``).
 """
 
 from __future__ import annotations
 
 from operator import mul
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 from .errors import SkewGbError
 from .ring import RingPresentation, SkewPoly
@@ -24,83 +21,55 @@ KINDS = ("lex", "grlex", "grevlex")
 
 
 class MonomialOrder:
-    """Base term order + optional weight refinement + optional Rees lift.
+    """Base term order + optional weight refinement.
 
-    The sort key is compiled once, at construction: the weight is scaled
-    by the lcm of its denominators to plain ints (a positive scale keeps
-    every comparison), and an explicit ``perm`` is resolved, reversed for
-    grevlex.  Keys are memoised per order; the memo is not part of
+    The weight is scaled once, at construction, by the lcm of its
+    denominators to plain ints (a positive scale keeps every
+    comparison).  Keys are memoised per order; the memo is not part of
     equality and lives as long as the order does.
     """
 
-    __slots__ = ("kind", "perm", "weight", "lifted", "_u", "_v", "_perm", "_memo")
+    __slots__ = ("kind", "weight", "_u", "_v", "_memo")
 
-    def __init__(
-        self,
-        kind: str = "grevlex",
-        perm: Optional[Sequence[int]] = None,
-        weight: Optional[WeightVector] = None,
-        lifted: bool = False,
-    ):
+    def __init__(self, kind: str = "grevlex", weight: Optional[WeightVector] = None):
         if kind not in KINDS:
             raise SkewGbError(f"unknown order kind {kind!r}; expected one of {KINDS}")
         self.kind = kind
-        self.perm = tuple(perm) if perm is not None else None
         self.weight = weight
-        self.lifted = lifted
         if weight is None:
             self._u = self._v = None
         else:
             scale = denominator_lcm(weight.entries)
             self._u = tuple((x * scale).numerator for x in weight.u)
             self._v = tuple((x * scale).numerator for x in weight.v)
-        if self.perm is not None and kind == "grevlex":
-            self._perm = self.perm[::-1]
-        else:
-            self._perm = self.perm
         self._memo = {}
 
     # -- derived orders ------------------------------------------------
 
     def refine(self, weight: WeightVector) -> "MonomialOrder":
         """The order compare-by-weight-first with self as tiebreak."""
-        return MonomialOrder(self.kind, self.perm, weight, self.lifted)
-
-    def lift(self) -> "MonomialOrder":
-        """The homogenization lift onto a Rees ring (x0 exponent first)."""
-        return MonomialOrder(self.kind, self.perm, self.weight, lifted=True)
+        return MonomialOrder(self.kind, weight)
 
     @property
     def is_term_order(self) -> bool:
-        if self.lifted:
-            return False
         return self.weight is None or self.weight.is_nonnegative()
 
     # -- comparison ----------------------------------------------------
 
-    def _base_key(self, exps: Tuple[int, ...]):
-        perm = self._perm
-        if self.kind == "lex":
-            return exps if perm is None else tuple(exps[p] for p in perm)
-        total = (sum(exps),)
-        if self.kind == "grlex":
-            return total + (exps if perm is None else tuple(exps[p] for p in perm))
-        # grevlex: total degree, then smaller exponent on the least
-        # significant variable wins (an explicit perm is stored reversed)
-        if perm is None:
-            return total + tuple(-e for e in reversed(exps))
-        return total + tuple(-exps[p] for p in perm)
-
     def _compute_key(self, mono):
         a, b = mono
-        if self.lifted:
-            head = (-a[0],)
-            a = a[1:]
+        exps = a + b
+        if self.kind == "lex":
+            key = exps
+        elif self.kind == "grlex":
+            key = (sum(exps),) + exps
         else:
-            head = ()
-        if self._u is not None:
-            head += (sum(map(mul, self._u, a)) + sum(map(mul, self._v, b)),)
-        return head + self._base_key(a + b)
+            # grevlex: total degree, then the smaller exponent on the
+            # least significant variable wins
+            key = (sum(exps),) + tuple(-e for e in reversed(exps))
+        if self._u is None:
+            return key
+        return (sum(map(mul, self._u, a)) + sum(map(mul, self._v, b)),) + key
 
     def key(self, mono):
         """Sort key; key(m1) < key(m2) iff m1 precedes m2."""
@@ -125,25 +94,17 @@ class MonomialOrder:
         return sorted(f.terms.items(), key=lambda kv: self.key(kv[0]), reverse=reverse)
 
     def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and (
-            self.kind,
-            self.perm,
-            self.weight,
-            self.lifted,
-        ) == (other.kind, other.perm, other.weight, other.lifted)
+        return isinstance(other, MonomialOrder) and (self.kind, self.weight) == (
+            other.kind, other.weight
+        )
 
     def __hash__(self):
-        return hash((self.kind, self.perm, self.weight, self.lifted))
+        return hash((self.kind, self.weight))
 
     def __repr__(self):
-        parts = [self.kind]
-        if self.perm is not None:
-            parts.append(f"perm={self.perm}")
-        if self.weight is not None:
-            parts.append(f"weight={self.weight}")
-        if self.lifted:
-            parts.append("lifted")
-        return f"MonomialOrder({', '.join(parts)})"
+        if self.weight is None:
+            return f"MonomialOrder({self.kind})"
+        return f"MonomialOrder({self.kind}, weight={self.weight})"
 
 
 def validate_order(P: RingPresentation, order: MonomialOrder) -> bool:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ParseError
-from .orders import KINDS, MonomialOrder
+from .orders import KINDS
 from .ring import (
     RingPresentation,
     SkewPoly,
@@ -182,9 +182,6 @@ class Problem:
         self.generators = list(generators)
         self.weights = list(weights)
         self.order_kind = order_kind
-
-    def order(self) -> MonomialOrder:
-        return MonomialOrder(self.order_kind)
 
 
 def parse_weight_entries(text: str, line: Optional[int] = None) -> List[Fraction]:

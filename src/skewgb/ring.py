@@ -218,20 +218,11 @@ class SkewPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def is_constant(self) -> bool:
-        zero_key = ((0,) * self.ring.m, (0,) * self.ring.n)
-        return not self.terms or set(self.terms) == {zero_key}
-
     def monomials(self):
         return list(self.terms)
 
     def coefficient(self, key: MonomialKey) -> Fraction:
         return self.terms.get(key, _ZERO)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(a) + sum(b) for a, b in self.terms)
 
     def sorted_terms(self):
         """Terms in a fixed display order: total degree, then exponents, descending."""

@@ -117,6 +117,10 @@ class TestEpsilonThreshold:
         eps0 = epsilon_threshold(A1, PARABOLA, w, d)
         assert eps0 > 0
         assert epsilon_identity_holds(A1, PARABOLA, w, d, eps0)
+        # nothing limits the direction w itself: the bound is the cap 1,
+        # though w + 100*w is still in the class of w
+        assert epsilon_threshold(A1, PARABOLA, w, w) == 1
+        assert same_class(A1, PARABOLA, w, w + w.scale(100))
 
     def test_verified_identity_example_b(self):
         gens = _example_b_gens()
@@ -324,6 +328,40 @@ class TestEnumerateFan:
         f2 = enumerate_fan(A2, _example_b_gens())
         assert [c.key() for c in f1.cones] == [c.key() for c in f2.cones]
         assert f1.adjacency == f2.adjacency
+
+    @pytest.mark.parametrize(
+        "gens",
+        [_example_b_gens(), [A2.y(1) + A2.y(2) + A2.x(1)]],
+        ids=["example_b", "y1+y2+x1"],
+    )
+    def test_a2_fan_partitions_sampled_weights(self, gens):
+        # seeded rational weights of PR(A2), alternately positive and mixed
+        # sign; each one off the walls lies in exactly one cone of the fan
+        fan = enumerate_fan(A2, gens)
+        assert fan.complete
+        rng = random.Random(2)
+        checked = skipped = 0
+        for k in range(15):
+            while True:
+                entries = [
+                    Fraction(rng.randrange(1 if k % 2 == 0 else -5, 6), rng.randrange(1, 5))
+                    for _ in range(4)
+                ]
+                u, v = entries[:2], entries[2:]
+                in_pr = all(a + b > 0 for a, b in zip(u, v))
+                if in_pr and (k % 2 == 0 or min(entries) < 0):
+                    break
+            w = _w(A2, entries)
+            own = cone_of(A2, gens, w)
+            if not own.is_maximal():
+                skipped += 1
+                continue
+            holders = [c for c in fan.cones if c.contains(w)]
+            assert len(holders) == 1, w
+            assert holders[0].key() == own.key()
+            assert same_class(A2, gens, w, holders[0].weight)
+            checked += 1
+        assert checked + skipped == 15 and checked >= 10
 
     def test_generic_seed_leaves_codimension_two_face(self):
         # the sample weight of this A3 ideal lies on a face of codimension

@@ -10,9 +10,9 @@ from skewgb import (
     BudgetExceeded,
     MonomialOrder,
     RegionError,
+    SkewGbError,
     WeightVector,
     buchberger,
-    comm_groebner,
     commutative_presentation,
     groebner_wrt_weight,
     initial_ideal_weight,
@@ -67,7 +67,7 @@ class TestCommutativeAgainstSympy:
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             return
-        ours = comm_groebner(S, gens, MonomialOrder("lex"))
+        ours = buchberger(S, gens, MonomialOrder("lex"))
         theirs = sympy.groebner(
             [_to_sympy(S, g, syms) for g in gens], *syms, order="lex"
         )
@@ -149,6 +149,14 @@ class TestBuchberger:
         for g in gens:
             assert normal_form(A1, g, list(gb.elements), o).is_zero()
 
+    def test_non_term_order_refused(self):
+        # under weight -1, x1 - x1^2 has lead x1 and reduction never ends
+        S = commutative_presentation(1)
+        x = S.x(1)
+        order = MonomialOrder("grevlex").refine(WeightVector.for_ring(S, [-1]))
+        with pytest.raises(SkewGbError, match="term order"):
+            buchberger(S, [x - x * x, x ** 3], order, max_steps=1000)
+
 
 class TestWeightedGroebner:
     def test_outside_pr_rejected(self):
@@ -195,7 +203,7 @@ class TestWeightedGroebner:
                     if h.is_zero():
                         continue
                     target = initial_form(P, h, w)
-                    gb = comm_groebner(S, init)
+                    gb = buchberger(S, init, MonomialOrder("grevlex"))
                     from skewgb.groebner import ideal_member_comm
 
                     assert ideal_member_comm(S, target, gb)

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and every
+import sits at module level."""
 
 import ast
 import pathlib
@@ -6,7 +7,8 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "skewgb"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str):
@@ -48,3 +50,40 @@ def test_detector_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def nested_imports(source: str):
+    """Lines of the imports inside a function or class body."""
+    tree = ast.parse(source)
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        {
+            node.lineno
+            for scope in ast.walk(tree)
+            if isinstance(scope, scopes)
+            for node in ast.walk(scope)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
+def test_nested_import_detector():
+    source = (
+        "import os\n"
+        "try:\n"
+        "    import json\n"
+        "except ImportError:\n"
+        "    json = None\n"
+        "def f():\n"
+        "    from .fan import walk\n"
+        "    def g():\n"
+        "        import sys\n"
+        "class C:\n"
+        "    import re\n"
+    )
+    assert nested_imports(source) == [7, 9, 11]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_imports_below_module_level(path):
+    assert nested_imports(path.read_text(encoding="utf-8")) == []

@@ -1,4 +1,4 @@
-"""Monomial orders: base kinds, weight refinement, homogenization lift."""
+"""Monomial orders: base kinds and weight refinement."""
 
 import random
 from fractions import Fraction
@@ -57,10 +57,6 @@ class TestBaseOrders:
         with pytest.raises(SkewGbError):
             MonomialOrder("mystery")
 
-    def test_permutation(self):
-        o = MonomialOrder("lex", perm=(1, 0))
-        assert o.less(mono([1, 0], []), mono([0, 1], []))
-
 
 class TestRefinement:
     def test_weight_comparison_first(self):
@@ -75,12 +71,6 @@ class TestRefinement:
         assert not o.is_term_order
         # 1 > y1 under this order
         assert o.less(mono([0], [1]), mono([0], [0]))
-
-    def test_lifted_order_x0_first(self):
-        o = MonomialOrder("grevlex").lift()
-        assert not o.is_term_order
-        # larger x0 exponent sorts lower
-        assert o.less(mono([2, 0], [0]), mono([1, 5], [3]))
 
     def test_sort_terms_deterministic(self):
         f = A2.x(1) * A2.y(1) + A2.y(2) + A2.one()
@@ -150,26 +140,22 @@ class TestLeadingData:
                 assert (ki == kj) == (mi == mj)
 
 
-def reference_key(kind, perm, weight, lifted, mono):
-    """The order spelled out on Fractions: x0 (when lifted), then the
-    rational weight, then the base term order."""
+def reference_key(kind, weight, mono):
+    """The order spelled out on Fractions: the rational weight, then the
+    base term order."""
     a, b = mono
     head = ()
-    if lifted:
-        head = (-a[0],)
-        a = a[1:]
     if weight is not None:
         dot = sum(Fraction(u) * e for u, e in zip(weight.u, a)) + sum(
             Fraction(v) * e for v, e in zip(weight.v, b)
         )
-        head += (dot,)
+        head = (dot,)
     exps = a + b
-    seq = list(perm) if perm is not None else list(range(len(exps)))
     if kind == "lex":
-        return head + tuple(exps[p] for p in seq)
+        return head + exps
     if kind == "grlex":
-        return head + (sum(exps),) + tuple(exps[p] for p in seq)
-    return head + (sum(exps),) + tuple(-exps[p] for p in reversed(seq))
+        return head + (sum(exps),) + exps
+    return head + (sum(exps),) + tuple(-e for e in reversed(exps))
 
 
 @st.composite
@@ -177,55 +163,52 @@ def orders_and_monomials(draw):
     m = draw(st.integers(1, 3))
     n = draw(st.integers(0, 3))
     kind = draw(st.sampled_from(KINDS))
-    lifted = draw(st.booleans())
-    perm = draw(st.none() | st.permutations(range(m + n)))
     entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     weight = draw(
         st.none() | st.builds(WeightVector, st.lists(entry, min_size=m, max_size=m),
                               st.lists(entry, min_size=n, max_size=n))
     )
-    width = m + 1 if lifted else m
     exps = st.integers(0, 4)
     monomial = st.builds(
         mono,
-        st.lists(exps, min_size=width, max_size=width),
+        st.lists(exps, min_size=m, max_size=m),
         st.lists(exps, min_size=n, max_size=n),
     )
     monos = draw(st.lists(monomial, min_size=2, max_size=6))
-    return kind, perm, weight, lifted, monos
+    return kind, weight, monos
 
 
 class TestCompiledKey:
     @given(orders_and_monomials())
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_fraction_reference(self, case):
-        kind, perm, weight, lifted, monos = case
-        order = MonomialOrder(kind, perm, weight, lifted)
+        kind, weight, monos = case
+        order = MonomialOrder(kind, weight)
         for m1 in monos:
-            r1 = reference_key(kind, perm, weight, lifted, m1)
+            r1 = reference_key(kind, weight, m1)
             for m2 in monos:
-                r2 = reference_key(kind, perm, weight, lifted, m2)
+                r2 = reference_key(kind, weight, m2)
                 assert order.less(m1, m2) == (r1 < r2)
                 assert (order.key(m1) == order.key(m2)) == (r1 == r2)
 
     @given(orders_and_monomials())
     @settings(max_examples=50, deadline=None)
     def test_repeated_calls_are_stable(self, case):
-        kind, perm, weight, lifted, monos = case
-        order = MonomialOrder(kind, perm, weight, lifted)
+        kind, weight, monos = case
+        order = MonomialOrder(kind, weight)
         first = [order.key(x) for x in monos]
-        fresh = MonomialOrder(kind, perm, weight, lifted)
+        fresh = MonomialOrder(kind, weight)
         assert [order.key(x) for x in monos] == first
         assert [fresh.key(x) for x in reversed(monos)] == first[::-1]
 
     @given(orders_and_monomials())
     @settings(max_examples=50, deadline=None)
     def test_memo_is_not_part_of_equality(self, case):
-        kind, perm, weight, lifted, monos = case
-        used = MonomialOrder(kind, perm, weight, lifted)
+        kind, weight, monos = case
+        used = MonomialOrder(kind, weight)
         for x in monos:
             used.key(x)
-        fresh = MonomialOrder(kind, perm, weight, lifted)
+        fresh = MonomialOrder(kind, weight)
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
 
@@ -237,12 +220,6 @@ class TestCompiledKey:
         assert refined == MonomialOrder("grevlex", weight=refined.weight)
         assert refined.less(x1_sq, y1)
         assert base.less(y1, x1_sq)
-        x0, one = mono([1, 0], [0]), mono([0, 0], [0])
-        assert base.less(one, x0)
-        lifted = base.lift()
-        assert lifted == MonomialOrder("grevlex", lifted=True)
-        assert lifted.less(x0, one)
-        assert base.less(one, x0)
 
     def test_weight_scale_does_not_change_comparisons(self):
         w = WeightVector.for_ring(A2, [Fraction(1, 2), Fraction(-2, 3), 1, Fraction(5, 4)])
