@@ -295,9 +295,7 @@ def _monomialize(S: RingPresentation, gens: Sequence[SkewPoly]) -> MonomialIdeal
     return gb.initial_ideal(S.m, S.n)
 
 
-def gk_dim(
-    P: RingPresentation, gens: Sequence[SkewPoly], w: WeightVector, **kw
-):
+def gk_dim(P: RingPresentation, gens: Sequence[SkewPoly], w: WeightVector):
     """GK dimension of R/I under the filtration of a positive weight.
 
     Computed as the Krull dimension of S/in_(u,v)(I), reading the
@@ -309,7 +307,7 @@ def gk_dim(
         raise RegionError("GK dimension requires a strictly positive weight")
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
-    init = initial_ideal_weight(P, gens, w, **kw)
+    init = initial_ideal_weight(P, gens, w)
     S = P.graded()
     mono = _monomialize(S, init)
     return krull_dim_monomial(mono)
@@ -331,7 +329,7 @@ class CharacteristicIdeal:
 
 
 def char_ideal(
-    P: RingPresentation, gens: Sequence[SkewPoly], w: WeightVector, **kw
+    P: RingPresentation, gens: Sequence[SkewPoly], w: WeightVector
 ) -> CharacteristicIdeal:
     """Characteristic ideal of the cyclic module R/I at a weight in PR.
 
@@ -339,7 +337,7 @@ def char_ideal(
     monomials the square-free radical is attached, otherwise the radical
     is left uncomputed.
     """
-    init = initial_ideal_weight(P, gens, w, **kw)
+    init = initial_ideal_weight(P, gens, w)
     monomial = all(len(h.terms) == 1 for h in init)
     radical = None
     if monomial:
@@ -432,7 +430,6 @@ def verify_component_bound(
     gens: Sequence[SkewPoly],
     w: WeightVector,
     bound: Optional[int] = None,
-    **kw,
 ) -> ComponentReport:
     """Check that every irreducible component of the characteristic
     variety has dimension at least ``bound`` (default: n, the number of
@@ -444,7 +441,7 @@ def verify_component_bound(
     """
     if bound is None:
         bound = P.n
-    ci = char_ideal(P, gens, w, **kw)
+    ci = char_ideal(P, gens, w)
     S = P.graded()
     w_int = _integral_scale(w)
     J = _monomialize(S, list(ci.generators))
@@ -454,7 +451,7 @@ def verify_component_bound(
         gkdim = krull_dim_monomial(J)
     else:
         nonzero_gens = [g for g in gens if not g.is_zero()]
-        gkdim = gk_dim(P, nonzero_gens, pr_sample_positive(P), **kw)
+        gkdim = gk_dim(P, nonzero_gens, pr_sample_positive(P))
     if ci.is_monomial:
         if J.is_unit():
             return ComponentReport(

@@ -179,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **extra):
+    def add(name, fn):
         p = sub.add_parser(name)
         p.add_argument("file", help="problem file")
         p.add_argument("--json", action="store_true", help="structured output")

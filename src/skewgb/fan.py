@@ -35,7 +35,7 @@ from .weights import (
     pr_sample_positive,
 )
 
-_MAX_CONES_DEFAULT = 512
+_MAX_CONES = 512
 
 
 def _mono_vec(mono) -> Tuple[Fraction, ...]:
@@ -168,7 +168,7 @@ def _cone_forms(P: RingPresentation, basis, w: WeightVector):
 
 
 def _reduced_marked_basis(
-    P: RingPresentation, gens: Sequence[SkewPoly], w_int: WeightVector, **kw
+    P: RingPresentation, gens: Sequence[SkewPoly], w_int: WeightVector
 ):
     """A reduced basis for the class of an integral weight, its initial
     ideal, and GR certification data; each basis is computed once.
@@ -181,11 +181,11 @@ def _reduced_marked_basis(
     the possibly unreduced basis from the Rees route is used
     best-effort.
     """
-    basis, order = groebner_wrt_weight(P, gens, w_int, **kw)
+    basis, order = groebner_wrt_weight(P, gens, w_int)
     init = _initial_ideal_of(P, basis, w_int, order.kind)
     if w_int.is_positive():
         return basis, init, True, w_int
-    rep, rep_basis = _class_has_positive(P, gens, basis, init, w_int, **kw)
+    rep, rep_basis = _class_has_positive(P, gens, basis, init, w_int)
     if rep is None:
         return basis, init, False, None
     if w_int.is_nonnegative():
@@ -194,7 +194,7 @@ def _reduced_marked_basis(
     return rep_basis, init, True, rep
 
 
-def _class_has_positive(P: RingPresentation, gens, basis, init, w: WeightVector, **kw):
+def _class_has_positive(P: RingPresentation, gens, basis, init, w: WeightVector):
     """A positive representative of the class of w and its basis, certified
     by its initial ideal being ``init``; (None, None) if none is found."""
     dim = P.m + P.n
@@ -207,20 +207,20 @@ def _class_has_positive(P: RingPresentation, gens, basis, init, w: WeightVector,
     if point is None:
         return None, None
     rep = _integral_scale(WeightVector(point[: P.m], point[P.m:]))
-    rep_basis, order = groebner_wrt_weight(P, gens, rep, **kw)
+    rep_basis, order = groebner_wrt_weight(P, gens, rep)
     if _initial_ideal_of(P, rep_basis, rep, order.kind) != init:
         return None, None
     return rep, rep_basis
 
 
 def cone_of(
-    P: RingPresentation, gens: Sequence[SkewPoly], w: WeightVector, **kw
+    P: RingPresentation, gens: Sequence[SkewPoly], w: WeightVector
 ) -> GroebnerCone:
     """The Groebner cone (equivalence class) of w for the ideal of gens."""
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
     w_int = _integral_scale(w)
-    basis, init, inside_gr, rep = _reduced_marked_basis(P, gens, w_int, **kw)
+    basis, init, inside_gr, rep = _reduced_marked_basis(P, gens, w_int)
     equalities, strict = _cone_forms(P, basis, w_int)
     dim = P.m + P.n
     eqs = sorted(set(e for e in equalities if any(e)))
@@ -234,15 +234,13 @@ def same_class(
     gens: Sequence[SkewPoly],
     w1: WeightVector,
     w2: WeightVector,
-    **kw,
 ) -> bool:
     """Whether two weights induce the same initial ideal in S."""
-    lhs = initial_ideal_weight(P, gens, w1, **kw)
-    return lhs == initial_ideal_weight(P, gens, w2, **kw)
+    return initial_ideal_weight(P, gens, w1) == initial_ideal_weight(P, gens, w2)
 
 
 def gr_region_contains(
-    P: RingPresentation, gens: Sequence[SkewPoly], w: WeightVector, **kw
+    P: RingPresentation, gens: Sequence[SkewPoly], w: WeightVector
 ) -> bool:
     """Whether the class of w contains a positive weight (w in GR(I))."""
     if not pr_contains(P, w):
@@ -250,7 +248,7 @@ def gr_region_contains(
     if w.is_positive():
         return True
     w_int = _integral_scale(w)
-    _basis, _init, inside_gr, _rep = _reduced_marked_basis(P, gens, w_int, **kw)
+    _basis, _init, inside_gr, _rep = _reduced_marked_basis(P, gens, w_int)
     return inside_gr
 
 
@@ -283,7 +281,6 @@ def epsilon_threshold(
     gens: Sequence[SkewPoly],
     w: WeightVector,
     w_prime: WeightVector,
-    **kw,
 ) -> Fraction:
     """The largest eps0, capped at 1, such that for all 0 < eps < eps0
     the perturbed weight w + eps*w' stays in the polynomial region and
@@ -298,7 +295,7 @@ def epsilon_threshold(
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
     w_int = _integral_scale(w)
-    basis, _init, _inside, _rep = _reduced_marked_basis(P, gens, w_int, **kw)
+    basis, _init, _inside, _rep = _reduced_marked_basis(P, gens, w_int)
     return _epsilon_bound(P, basis, w_int, w_prime)
 
 
@@ -328,8 +325,6 @@ def walk(
     gens: Sequence[SkewPoly],
     w_start: WeightVector,
     w_end: WeightVector,
-    max_cones: int = _MAX_CONES_DEFAULT,
-    **kw,
 ) -> List[WalkSegment]:
     """Walk the segment from w_start to w_end through the Groebner fan.
 
@@ -349,10 +344,10 @@ def walk(
     segments: List[WalkSegment] = []
     t_enter = Fraction(0)
     w_here = w_start
-    here = cone_of(P, gens, w_here, **kw)
+    here = cone_of(P, gens, w_here)
     while True:
-        if len(segments) >= max_cones:
-            raise BudgetExceeded("walk cones", max_cones)
+        if len(segments) >= _MAX_CONES:
+            raise BudgetExceeded("walk cones", _MAX_CONES)
         # step off the entry point into the next cone; at the unscaled
         # point and along w_end - w_start the bound is in units of t
         eps = _epsilon_bound(P, here.basis, w_here, direction)
@@ -360,7 +355,7 @@ def walk(
         while step >= eps:
             step /= 2
         w_rep = _segment_point(w_start, w_end, t_enter + step)
-        cone = here if here.contains(w_rep) else cone_of(P, gens, w_rep, **kw)
+        cone = here if here.contains(w_rep) else cone_of(P, gens, w_rep)
         if not cone.contains(w_here, closure=True):
             raise SkewGbError(f"walk stepped past a cone after t={t_enter}")
         # exit parameter: first root of a strict form along the segment
@@ -381,11 +376,11 @@ def walk(
             break
         # certify the wall: the one-sided initial ideal matches the cone
         before = _segment_point(w_start, w_end, (t_enter + t_exit) / 2)
-        if initial_ideal_weight(P, gens, before, **kw) != list(cone.initial_gens):
+        if initial_ideal_weight(P, gens, before) != list(cone.initial_gens):
             raise SkewGbError(f"walk certification failed before wall t={t_exit}")
         # the wall itself is a genuine lower-dimensional class
         w_here = _segment_point(w_start, w_end, t_exit)
-        here = cone_of(P, gens, w_here, **kw)
+        here = cone_of(P, gens, w_here)
         if here.is_maximal():
             raise SkewGbError(f"expected a wall at t={t_exit}, found a maximal cone")
         t_enter = t_exit
@@ -424,9 +419,7 @@ class GroebnerFan:
         return f"GroebnerFan({len(self.cones)} cones{flag})"
 
 
-def _generic_seed(
-    P: RingPresentation, gens: Sequence[SkewPoly], **kw
-) -> WeightVector:
+def _generic_seed(P: RingPresentation, gens: Sequence[SkewPoly]) -> WeightVector:
     """A positive weight whose initial ideal is monomial.
 
     A sample weight on a lower-dimensional cone is nudged off one of its
@@ -436,7 +429,7 @@ def _generic_seed(
     m + n rounds the dimension argument is exhausted.
     """
     w = pr_sample_positive(P)
-    cone = cone_of(P, gens, w, **kw)
+    cone = cone_of(P, gens, w)
     if cone.is_maximal():
         return _integral_scale(w)
     dim = P.m + P.n
@@ -456,7 +449,7 @@ def _generic_seed(
             d = WeightVector(point[: P.m], point[P.m:])
             eps = _epsilon_bound(P, cone.basis, cone.weight, d)
             candidate = _integral_scale(w + d.scale(eps / 2))
-            candidate_cone = cone_of(P, gens, candidate, **kw)
+            candidate_cone = cone_of(P, gens, candidate)
             if candidate_cone.is_maximal():
                 return candidate
             if step is None:
@@ -473,7 +466,6 @@ def _cross_facet(
     cone: GroebnerCone,
     facet,
     pr_forms,
-    **kw,
 ) -> Optional[GroebnerCone]:
     """The maximal cone on the far side of a facet, or None when the
     facet lies on the boundary of the polynomial region."""
@@ -490,12 +482,12 @@ def _cross_facet(
     d = WeightVector(
         [-x for x in facet[: P.m]], [-x for x in facet[P.m:]]
     )
-    basis, _init, _inside, _rep = _reduced_marked_basis(P, gens, p, **kw)
+    basis, _init, _inside, _rep = _reduced_marked_basis(P, gens, p)
     eps = _epsilon_bound(P, basis, p, d)
     candidate = _integral_scale(p + d.scale(eps / 2))
     if not pr_contains(P, candidate):
         return None
-    neighbor = cone_of(P, gens, candidate, **kw)
+    neighbor = cone_of(P, gens, candidate)
     if not neighbor.is_maximal():
         raise SkewGbError("facet crossing landed on a non-maximal cone")
     return neighbor
@@ -505,8 +497,7 @@ def enumerate_fan(
     P: RingPresentation,
     gens: Sequence[SkewPoly],
     seed: Optional[WeightVector] = None,
-    max_cones: int = _MAX_CONES_DEFAULT,
-    **kw,
+    max_cones: int = _MAX_CONES,
 ) -> GroebnerFan:
     """All maximal Groebner cones, found by breadth-first facet crossing.
 
@@ -521,8 +512,8 @@ def enumerate_fan(
         trivial = GroebnerCone(P, _integral_scale(w0), (), pr.strict, (), (), True, None)
         return GroebnerFan(P, [trivial], (), True)
     if seed is None:
-        seed = _generic_seed(P, gens, **kw)
-    first = cone_of(P, gens, seed, **kw)
+        seed = _generic_seed(P, gens)
+    first = cone_of(P, gens, seed)
     if not first.is_maximal():
         raise SkewGbError("seed weight lies on a wall; supply a generic seed")
     if any(len(h.terms) == 1 and not any(_mono_vec(next(iter(h.terms)))) for h in first.initial_gens):
@@ -536,7 +527,7 @@ def enumerate_fan(
     while queue:
         cone = queue.pop(0)
         for facet in cone.strict:
-            neighbor = _cross_facet(P, gens, cone, facet, pr_forms, **kw)
+            neighbor = _cross_facet(P, gens, cone, facet, pr_forms)
             if neighbor is None:
                 continue
             k = neighbor.key()
@@ -552,9 +543,7 @@ def enumerate_fan(
     return GroebnerFan(P, ordered, adjacency, complete)
 
 
-def universal_gb(
-    P: RingPresentation, gens: Sequence[SkewPoly], kind: str = "grevlex", **kw
-) -> List[SkewPoly]:
+def universal_gb(P: RingPresentation, gens: Sequence[SkewPoly]) -> List[SkewPoly]:
     """A finite universal Groebner basis: union of the marker bases of
     all maximal cones of the Groebner fan of the homogenized ideal,
     dehomogenized."""
@@ -564,9 +553,9 @@ def universal_gb(
     w_pos = pr_sample_positive(P)
     rz = rees_presentation(P, w_pos)
     hgens = [homogenize(P, w_pos, g, rz) for g in gens]
-    fan = enumerate_fan(rz.ring, hgens, **kw)
+    fan = enumerate_fan(rz.ring, hgens)
     union = _dehomogenized(
-        P, (g for cone in fan.cones for g in cone.basis), MonomialOrder(kind)
+        P, (g for cone in fan.cones for g in cone.basis), MonomialOrder("grevlex")
     )
     union.sort(key=lambda g: sorted(g.terms))
     return union

@@ -7,8 +7,13 @@ with negative entries gives a non-term order, which is never iterated
 directly; instead the generators are homogenized, the completion runs
 on the Rees ring under a strictly positive shifted weight that induces
 the same initial forms on homogeneous input, and the result is
-dehomogenized.  All completions carry configurable step budgets and
-raise ``BudgetExceeded`` rather than returning a truncated answer.
+dehomogenized.  Every completion is bounded by a pair budget and a
+reduction-step budget and raises ``BudgetExceeded`` rather than
+returning a truncated answer.  The budgets are the explicit
+``max_pairs`` / ``max_steps`` arguments of ``buchberger`` and
+``normal_form`` when given, else the ``SKEWGB_MAX_PAIRS`` / ``SKEWGB_MAX_STEPS`` environment
+variables, else the defaults below; every other function, weighted
+bases included, runs under those environment budgets.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, RegionError, SkewGbError
+from .kernel import _add_terms
 from .orders import MonomialOrder, validate_order
 from .rees import dehomogenize, homogenize, rees_presentation, strip_x0
 from .ring import RingPresentation, SkewPoly
@@ -191,14 +197,8 @@ def normal_form(
             raise BudgetExceeded("reduction-step", limit)
         lm, lc, g = hit
         ta, tb = _exp_sub(mono, lm)
-        prod = kern.lmul_mono(coeff / lc, ta, tb, g.terms)
         work[mono] = coeff
-        for k2, v2 in prod.items():
-            acc = work.get(k2, Fraction(0)) - v2
-            if acc:
-                work[k2] = acc
-            elif k2 in work:
-                del work[k2]
+        _add_terms(work, kern.lmul_mono(-coeff / lc, ta, tb, g.terms))
     return SkewPoly(P, remainder)
 
 
@@ -207,19 +207,13 @@ def _monic(f: SkewPoly, order: MonomialOrder) -> SkewPoly:
     return f.scale(1 / lc)
 
 
-def _s_pair(P, order, f, lm_f, g, lm_g) -> SkewPoly:
+def _s_pair(P, f, lm_f, g, lm_g) -> SkewPoly:
     kern = P.kernel()
     lcm = _exp_lcm(lm_f, lm_g)
     ta, tb = _exp_sub(lcm, lm_f)
     sa, sb = _exp_sub(lcm, lm_g)
     pf = kern.lmul_mono(1 / f.terms[lm_f], ta, tb, f.terms)
-    pg = kern.lmul_mono(1 / g.terms[lm_g], sa, sb, g.terms)
-    for k2, v2 in pg.items():
-        acc = pf.get(k2, Fraction(0)) - v2
-        if acc:
-            pf[k2] = acc
-        elif k2 in pf:
-            del pf[k2]
+    _add_terms(pf, kern.lmul_mono(-1 / g.terms[lm_g], sa, sb, g.terms))
     return SkewPoly(P, pf)
 
 
@@ -270,7 +264,7 @@ def buchberger(
         processed += 1
         if processed > pair_limit:
             raise BudgetExceeded("s-pair", pair_limit)
-        s = _s_pair(P, order, basis[i], lead[i], basis[j], lead[j])
+        s = _s_pair(P, basis[i], lead[i], basis[j], lead[j])
         if s.is_zero():
             continue
         r = normal_form(P, s, basis, order, max_steps=max_steps)
@@ -299,10 +293,10 @@ def buchberger(
 
 
 def initial_ideal_order(
-    P: RingPresentation, gens: Sequence[SkewPoly], order: MonomialOrder, **kw
+    P: RingPresentation, gens: Sequence[SkewPoly], order: MonomialOrder
 ) -> MonomialIdeal:
     """Minimal generators of the initial monomial ideal in_ord(I)."""
-    gb = buchberger(P, gens, order, **kw)
+    gb = buchberger(P, gens, order)
     return gb.initial_ideal(P.m, P.n)
 
 
@@ -348,8 +342,6 @@ def groebner_wrt_weight(
     gens: Sequence[SkewPoly],
     w: WeightVector,
     kind: str = "grevlex",
-    max_pairs: Optional[int] = None,
-    max_steps: Optional[int] = None,
 ) -> Tuple[List[SkewPoly], MonomialOrder]:
     """Groebner basis of I under the weight-refined order.
 
@@ -362,6 +354,8 @@ def groebner_wrt_weight(
     completion is repeated until it is saturated with respect to x0.  The
     dehomogenized result is a Groebner basis for (u, v) but need not be
     auto-reduced (full reduction under a non-term order can diverge).
+    Each completion runs under the budgets of ``SKEWGB_MAX_PAIRS`` /
+    ``SKEWGB_MAX_STEPS`` (see ``buchberger``).
     """
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
@@ -372,20 +366,18 @@ def groebner_wrt_weight(
     if not gens:
         return [], ord_w
     if w_int.is_nonnegative():
-        gb = buchberger(P, gens, ord_w, max_pairs=max_pairs, max_steps=max_steps)
+        gb = buchberger(P, gens, ord_w)
         return list(gb.elements), ord_w
     w_plus, shifted = _rees_weight_order(P, w_int)
     rz = rees_presentation(P, w_plus)
     hgens = [homogenize(P, w_plus, g, rz) for g in gens]
     ord_h = base.refine(shifted)
-    gb = buchberger(rz.ring, hgens, ord_h, max_pairs=max_pairs, max_steps=max_steps)
+    gb = buchberger(rz.ring, hgens, ord_h)
     for _ in range(_SATURATION_ROUNDS):
         stripped = [strip_x0(g) for g in gb.elements]
         if tuple(stripped) == gb.elements:
             break
-        gb = buchberger(
-            rz.ring, stripped, ord_h, max_pairs=max_pairs, max_steps=max_steps
-        )
+        gb = buchberger(rz.ring, stripped, ord_h)
     else:
         raise BudgetExceeded("x0-saturation rounds", _SATURATION_ROUNDS)
     result = _dehomogenized(P, gb.elements, ord_w)
@@ -398,7 +390,6 @@ def initial_ideal_weight(
     gens: Sequence[SkewPoly],
     w: WeightVector,
     kind: str = "grevlex",
-    **kw,
 ) -> List[SkewPoly]:
     """Canonical generators of the S-ideal in_(u,v)(I).
 
@@ -409,7 +400,7 @@ def initial_ideal_weight(
     support.  For a fixed ``kind``, equal initial ideals (of any weights
     or generating sets) give equal lists, and unequal ones unequal lists.
     """
-    gb, _ord = groebner_wrt_weight(P, gens, w, kind=kind, **kw)
+    gb, _ord = groebner_wrt_weight(P, gens, w, kind=kind)
     return _initial_ideal_of(P, gb, w, kind)
 
 

@@ -12,10 +12,11 @@ Every product is built from one primitive, the standard form of
   ``Q2_ij`` has y-degree at most one, so the correction has lower
   y-degree and the recursion depth is bounded by the y-degree.
 
-``y^b x^c`` and ``y^d y^b2`` are built by letting the ``y_i`` of ``y^b``
-(or ``y^d``) enter one at a time, right to left; each finished block is
-cached on the kernel, while the per-``(i, a, b)`` memo of the primitive
-lives only while one block is built.
+A block ``y^b * x^c y^d`` is built by letting the ``y_i`` of ``y^b``
+enter one at a time, right to left.  Products use two shapes of block,
+``y^b x^c`` and ``y^d y^b2``, and both are kept in one cache on the
+kernel, while the per-``(i, a, b)`` memo of the primitive lives only
+while one block is built.
 
 Precondition: the tables must pass ``ring.validate_presentation``.  Every
 step above is a rewrite by a relation, so for consistent tables the
@@ -29,7 +30,6 @@ parser.
 from fractions import Fraction
 from operator import add
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -47,6 +47,19 @@ def _accumulate(out, key, value):
         out[key] = acc
     elif key in out:
         del out[key]
+
+
+def _add_terms(out, terms, scale=1):
+    """Add ``scale * terms`` into the sparse dict ``out``, dropping zeros."""
+    get = out.get
+    if scale != 1:
+        terms = {key: scale * value for key, value in terms.items()}
+    for key, value in terms.items():
+        acc = get(key, 0) + value
+        if acc:
+            out[key] = acc
+        elif key in out:
+            del out[key]
 
 
 class MulKernel:
@@ -81,8 +94,7 @@ class MulKernel:
             for i in range(n)
         )
         self._q2_trivial = not any(any(row) for row in self._q2)
-        self._yx_cache = {}
-        self._yy_cache = {}
+        self._blocks = {}
 
     # -- the primitive -------------------------------------------------
 
@@ -157,22 +169,13 @@ class MulKernel:
 
     # -- cached building blocks ---------------------------------------
 
-    def _yx(self, b, c):
-        """Standard expression of y^b x^c."""
-        key = (b, c)
-        res = self._yx_cache.get(key)
+    def _block(self, b, mono):
+        """Standard expression of y^b * x^c y^d for ``mono`` = (c, d)."""
+        key = (b, mono)
+        res = self._blocks.get(key)
         if res is None:
-            res = self._lmul_ys(b, {(c, self._zy): 1})
-            self._yx_cache[key] = res
-        return res
-
-    def _yy(self, d, b2):
-        """Standard expression of y^d y^b2."""
-        key = (d, b2)
-        res = self._yy_cache.get(key)
-        if res is None:
-            res = self._lmul_ys(d, {(self._zx, b2): 1})
-            self._yy_cache[key] = res
+            res = self._lmul_ys(b, {mono: 1})
+            self._blocks[key] = res
         return res
 
     # -- products ------------------------------------------------------
@@ -180,8 +183,11 @@ class MulKernel:
     def mono_mul(self, a, b, c, d):
         """Standard expression of (x^a y^b) * (x^c y^d)."""
         out = {}
-        mid = self._yx(b, c)
+        mid = self._block(b, (c, self._zy))
         if self._q2_trivial:
+            # Kept apart from the general loop below: without this branch a
+            # pass of the products benchmark took about 27% longer (CPython
+            # 3.11, 2-core Xeon), as y^d1 y^d then costs a block lookup.
             for (c1, d1), k1 in mid.items():
                 key = (
                     tuple(ai + ci for ai, ci in zip(a, c1)),
@@ -194,7 +200,7 @@ class MulKernel:
                     del out[key]
             return out
         for (c1, d1), k1 in mid.items():
-            for (c2, d2), k2 in self._yy(d1, d).items():
+            for (c2, d2), k2 in self._block(d1, (self._zx, d)).items():
                 key = (
                     tuple(ai + ci + cj for ai, ci, cj in zip(a, c1, c2)),
                     d2,
@@ -210,23 +216,12 @@ class MulKernel:
         """Standard expression of coeff * x^a y^b * (terms)."""
         out = {}
         for (c, d), k in terms.items():
-            ck = coeff * k
-            for key, k2 in self.mono_mul(a, b, c, d).items():
-                acc = out.get(key, _ZERO) + ck * k2
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
+            _add_terms(out, self.mono_mul(a, b, c, d), coeff * k)
         return out
 
     def multiply(self, fterms, gterms):
         """Standard expression of the product of two standard expressions."""
         out = {}
         for (a, b), kf in fterms.items():
-            for key, k2 in self.lmul_mono(kf, a, b, gterms).items():
-                acc = out.get(key, _ZERO) + k2
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
+            _add_terms(out, self.lmul_mono(kf, a, b, gterms))
         return out

@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ParseError
+from .errors import ParseError, PresentationError
 from .orders import KINDS
 from .ring import (
     RingPresentation,
@@ -226,10 +226,13 @@ def _parse_ring_header(value: str, line: int):
         if kind == "sl2":
             return sl2_presentation(), False
         if kind == "custom":
-            m, n = int(parts[1]), int(parts[2])
-            return (m, n), True
+            # the relation-free ring on the same generators, in which the
+            # relation lines are parsed
+            return commutative_presentation(int(parts[1]), int(parts[2])), True
     except (IndexError, ValueError):
         raise ParseError(f"malformed ring specification {value!r}", line, 0)
+    except PresentationError as exc:
+        raise ParseError(str(exc), line, 0)
     raise ParseError(f"unknown ring kind {kind!r}", line, 0)
 
 
@@ -239,7 +242,7 @@ _Q_RE = re.compile(r"^q([12])\s+(\d+)\s+(\d+)$")
 def parse_problem(text: str) -> Problem:
     """Parse a stanza problem description into a Problem."""
     ring = None
-    custom: Optional[Tuple[int, int]] = None
+    custom: Optional[RingPresentation] = None
     q1: Dict[Tuple[int, int], str] = {}
     q2: Dict[Tuple[int, int], str] = {}
     gen_specs: List[Tuple[str, int]] = []
@@ -288,11 +291,12 @@ def parse_problem(text: str) -> Problem:
     return Problem(ring, generators, weights, order_kind)
 
 
-def _build_custom(shape, q1_specs, q2_specs) -> RingPresentation:
-    m, n = shape
-    scratch = commutative_presentation(m, n)
+def _build_custom(scratch, q1_specs, q2_specs) -> RingPresentation:
+    m, n = scratch.m, scratch.n
     q1 = {}
     for (i, j), (spec, lineno) in q1_specs.items():
+        if not (1 <= i <= n and 1 <= j <= m):
+            raise ParseError(f"q1 index ({i}, {j}) out of range 1..{n} x 1..{m}", lineno, 0)
         poly = parse_expression(scratch, spec, lineno)
         for (_a, b) in poly.terms:
             if any(b):
@@ -300,6 +304,8 @@ def _build_custom(shape, q1_specs, q2_specs) -> RingPresentation:
         q1[(i, j)] = {a: c for (a, _b), c in poly.terms.items()}
     q2 = {}
     for (i, j), (spec, lineno) in q2_specs.items():
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ParseError(f"q2 index ({i}, {j}) out of range 1..{n} x 1..{n}", lineno, 0)
         poly = parse_expression(scratch, spec, lineno)
         for (_a, b) in poly.terms:
             if sum(b) > 1:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import PresentationError
-from .kernel import MulKernel
+from .kernel import MulKernel, _add_terms
 
 Exponents = Tuple[int, ...]
 MonomialKey = Tuple[Exponents, Exponents]
@@ -89,6 +89,9 @@ class RingPresentation:
         )
         q1 = q1 or {}
         q2 = q2 or {}
+        for i, j in q1:
+            if not (1 <= i <= n and 1 <= j <= m):
+                raise PresentationError(f"Q1 index {(i, j)} out of range")
         table1 = []
         for i in range(1, n + 1):
             row = []
@@ -244,12 +247,7 @@ class SkewPoly:
             return NotImplemented
         self._check(other)
         terms = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = terms.get(key, _ZERO) + c
-            if acc:
-                terms[key] = acc
-            elif key in terms:
-                del terms[key]
+        _add_terms(terms, other.terms)
         return SkewPoly(self.ring, terms)
 
     def __sub__(self, other: "SkewPoly") -> "SkewPoly":

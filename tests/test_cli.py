@@ -142,6 +142,15 @@ class TestExitCodes:
         )
         code, out, err = run(["gb", str(jacobi)], capsys)
         assert code == 2 and out == "" and "non-associative" in err
+        for text, message in (
+            ("ring: custom 1 1\nq1 1 5: 1\nideal: y1*x1\n", "q1 index (1, 5) out of range"),
+            ("ring: custom 1 1\nq2 2 1: 1\nideal: y1*x1\n", "q2 index (2, 1) out of range"),
+            ("ring: weyl 0\nideal: 1\n", "weyl_presentation requires n >= 1"),
+            ("ring: commutative -1\nideal: 1\n", "generator counts must be nonnegative"),
+        ):
+            bad.write_text(text)
+            code, out, err = run(["gb", str(bad)], capsys)
+            assert code == 2 and out == "" and message in err, (text, code, out, err)
 
     def test_region_error(self, tmp_path, capsys):
         f = tmp_path / "p.txt"

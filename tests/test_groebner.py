@@ -1,10 +1,13 @@
 """Buchberger completion, normal forms, weighted Groebner bases."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from skewgb import (
     BudgetExceeded,
@@ -16,7 +19,10 @@ from skewgb import (
     commutative_presentation,
     groebner_wrt_weight,
     initial_ideal_weight,
+    multiply,
     normal_form,
+    pr_contains,
+    sl2_presentation,
     universal_gb,
     weyl_presentation,
 )
@@ -215,6 +221,76 @@ class TestWeightedGroebner:
         assert [str(h) for h in initial_ideal_weight(A1, g, w1)] == [
             str(h) for h in initial_ideal_weight(A1, g, w2)
         ]
+
+
+SMALL_RINGS = {"A1": A1, "A2": A2, "sl2": sl2_presentation()}
+
+
+def _monomials_up_to(P, degree):
+    """All (a, b) exponent pairs of total degree at most ``degree``."""
+    exps = itertools.product(range(degree + 1), repeat=P.m + P.n)
+    return [(e[: P.m], e[P.m:]) for e in exps if sum(e) <= degree]
+
+
+@st.composite
+def small_weighted_ideals(draw):
+    """An ideal of 1-2 generators of degree <= 2 in A1, A2 or sl2 and a
+    positive integer weight in the polynomial region."""
+    P = SMALL_RINGS[draw(st.sampled_from(sorted(SMALL_RINGS)))]
+    monos = _monomials_up_to(P, 2)
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        coeffs = draw(
+            st.lists(
+                st.integers(-3, 3).filter(bool), min_size=len(support), max_size=len(support)
+            )
+        )
+        gens.append(SkewPoly(P, {mono: Fraction(c) for mono, c in zip(support, coeffs)}))
+    dim = P.m + P.n
+    w = WeightVector.for_ring(P, draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim)))
+    assume(pr_contains(P, w))
+    return P, gens, w
+
+
+def _left_shift(P, f, lead, target, order):
+    """The standard monomial of exponent ``target - lead`` times f, made
+    monic; its leading monomial is ``target``."""
+    a, b = (
+        tuple(t - s for t, s in zip(target[0], lead[0])),
+        tuple(t - s for t, s in zip(target[1], lead[1])),
+    )
+    h = multiply(P, P.monomial(a, b), f)
+    return h.scale(1 / h.coefficient(order.leading_monomial(h)))
+
+
+class TestWeightedBasisProperties:
+    """Differential checks of ``groebner_wrt_weight`` at positive weights,
+    against S-pairs built here from ``multiply``."""
+
+    @given(small_weighted_ideals())
+    @settings(max_examples=120, deadline=None)
+    def test_reduced_basis_with_reducing_s_pairs(self, case):
+        P, gens, w = case
+        basis, order = groebner_wrt_weight(P, gens, w)
+        leads = [order.leading_monomial(g) for g in basis]
+        for g, lead in zip(basis, leads):
+            # monic, and reduced: no term of g lies in another's lead ideal
+            assert g.coefficient(lead) == 1
+            others = [h for h in basis if h is not g]
+            assert normal_form(P, g, others, order) == g
+        for g in gens:
+            assert normal_form(P, g, basis, order).is_zero()
+        for i, (f, lf) in enumerate(zip(basis, leads)):
+            for g, lg in zip(basis[i + 1:], leads[i + 1:]):
+                lcm = (
+                    tuple(map(max, lf[0], lg[0])),
+                    tuple(map(max, lf[1], lg[1])),
+                )
+                sf = _left_shift(P, f, lf, lcm, order)
+                sg = _left_shift(P, g, lg, lcm, order)
+                assert order.leading_monomial(sf) == order.leading_monomial(sg) == lcm
+                assert normal_form(P, sf - sg, basis, order).is_zero()
 
 
 class TestCanonicalInitialIdeal:

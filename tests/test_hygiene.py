@@ -1,5 +1,5 @@
-"""Source hygiene: no module imports a name it never uses, and every
-import sits at module level."""
+"""Source hygiene: no module imports a name it never uses, every import
+sits at module level, and no public function takes ``**kwargs``."""
 
 import ast
 import pathlib
@@ -87,3 +87,53 @@ def test_nested_import_detector():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_imports_below_module_level(path):
     assert nested_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _is_public(name: str) -> bool:
+    return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+
+def keyword_catchalls(source: str):
+    """Public functions and public-class methods (``Class.name``) that
+    take a ``**kwargs`` parameter."""
+    tree = ast.parse(source)
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for node in tree.body:
+        if isinstance(node, funcs) and _is_public(node.name) and node.args.kwarg:
+            found.append(node.name)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, funcs) and _is_public(item.name) and item.args.kwarg:
+                    found.append(f"{node.name}.{item.name}")
+    return found
+
+
+def test_keyword_catchall_detector():
+    source = (
+        "def f(a, **kw):\n"
+        "    def inner(**kw):\n"
+        "        pass\n"
+        "def _g(**kw):\n"
+        "    pass\n"
+        "def h(a, *args, b=1):\n"
+        "    pass\n"
+        "class C:\n"
+        "    def __init__(self, **options):\n"
+        "        pass\n"
+        "    def m(self, **kw):\n"
+        "        pass\n"
+        "    def _p(self, **kw):\n"
+        "        pass\n"
+        "class _D:\n"
+        "    def m(self, **kw):\n"
+        "        pass\n"
+    )
+    assert keyword_catchalls(source) == ["f", "C.__init__", "C.m"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_keyword_catchalls(path):
+    # a forwarded option that no caller sets can only misfire, as when a
+    # fan seed was handed on to the fan of a Rees ring of another shape
+    assert keyword_catchalls(path.read_text(encoding="utf-8")) == []

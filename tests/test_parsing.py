@@ -106,6 +106,23 @@ class TestProblems:
         with pytest.raises(ParseError, match="non-associative"):
             parse_problem(text)
 
+    @pytest.mark.parametrize(
+        "line", ["q1 1 5: 1", "q1 2 1: 1", "q1 0 1: 1", "q2 2 1: 1", "q2 1 0: 1"]
+    )
+    def test_custom_ring_rejects_out_of_range_relation(self, line):
+        text = f"ring: custom 1 1\n# relations\n{line}\nideal: y1*x1\n"
+        with pytest.raises(ParseError, match="out of range") as exc:
+            parse_problem(text)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize(
+        "spec", ["weyl 0", "weyl -2", "commutative -1", "commutative 1 -1", "custom -1 1"]
+    )
+    def test_refused_ring_stanza_is_a_parse_error(self, spec):
+        with pytest.raises(ParseError) as exc:
+            parse_problem(f"# header\nring: {spec}\nideal: 1\n")
+        assert exc.value.line == 2
+
     def test_missing_ring(self):
         with pytest.raises(ParseError):
             parse_problem("ideal: y1\n")

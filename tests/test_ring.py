@@ -85,6 +85,15 @@ class TestPresentations:
         with pytest.raises(PresentationError):
             RingPresentation(1, 1, q2={(1, 1): {((0,), (1,)): 1}})
 
+    @pytest.mark.parametrize("key", [(2, 1), (1, 2), (0, 1), (1, 0)])
+    def test_rejects_out_of_range_q1_index(self, key):
+        # a Q1 entry outside 1..n x 1..m names no generator pair; it is
+        # refused like an out-of-range Q2 entry, not dropped
+        with pytest.raises(PresentationError, match="Q1 index"):
+            RingPresentation(1, 1, q1={key: {(0,): 1}})
+        with pytest.raises(PresentationError, match="Q2 index"):
+            RingPresentation(1, 1, q2={key: {((0,), (0,)): 1}})
+
 
 class TestArithmetic:
     def test_scalar_and_neg(self):
