@@ -42,6 +42,7 @@ def _exact(c):
 
 
 def _accumulate(out, key, value):
+    """Add ``value`` at ``key`` of the sparse dict ``out``, dropping a zero."""
     acc = out.get(key, 0) + value
     if acc:
         out[key] = acc
@@ -49,17 +50,14 @@ def _accumulate(out, key, value):
         del out[key]
 
 
-def _add_terms(out, terms, scale=1):
-    """Add ``scale * terms`` into the sparse dict ``out``, dropping zeros."""
-    get = out.get
-    if scale != 1:
-        terms = {key: scale * value for key, value in terms.items()}
+def _add_terms(out, terms, scale=None):
+    """Add ``terms``, times ``scale`` if one is given, into ``out``.
+
+    Int block coefficients must come with a Fraction ``scale``, so that
+    every value left in ``out`` is a Fraction.
+    """
     for key, value in terms.items():
-        acc = get(key, 0) + value
-        if acc:
-            out[key] = acc
-        elif key in out:
-            del out[key]
+        _accumulate(out, key, value if scale is None else scale * value)
 
 
 class MulKernel:

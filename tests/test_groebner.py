@@ -26,6 +26,7 @@ from skewgb import (
     universal_gb,
     weyl_presentation,
 )
+from skewgb import groebner
 from skewgb.groebner import ideals_equal_comm
 from skewgb.ring import SkewPoly
 
@@ -145,6 +146,33 @@ class TestBuchberger:
                     assert not all(
                         x >= y for x, y in zip(mono[0] + mono[1], lead[0] + lead[1])
                     )
+
+    def test_exact_coefficients_throughout(self, monkeypatch):
+        # y1*x1^3 - x1^3*y1 = 3*x1^2: made monic, its lead is exactly 1
+        o = MonomialOrder("grevlex")
+        x, y = A1.x(1), A1.y(1)
+        lead = ((2,), (0,))
+        spair = groebner._s_pair(A1, x ** 3, ((3,), (0,)), y, ((0,), (1,)))
+        assert spair.terms == {lead: 3}
+        assert type(spair.terms[lead]) is Fraction
+        made_monic = []
+
+        def spy(f, order):
+            g = monic(f, order)
+            made_monic.append(g)
+            return g
+
+        monic = groebner._monic
+        monkeypatch.setattr(groebner, "_monic", spy)
+        gb = buchberger(A1, [x ** 3, y], o)
+        assert any(set(g.terms) == {lead} for g in made_monic)
+        for g in made_monic + list(gb.elements):
+            assert type(g.terms[o.leading_monomial(g)]) is Fraction
+            assert g.terms[o.leading_monomial(g)] == 1
+            assert all(type(c) is Fraction for c in g.terms.values())
+        r = normal_form(A1, y * x ** 3, [y * x], o)
+        assert r.terms == {lead: Fraction(2)}
+        assert all(type(c) is Fraction for c in r.terms.values())
 
     def test_ideal_membership_preserved(self):
         # every returned element reduces to zero against the generators'

@@ -38,6 +38,16 @@ def test_normalize_word_identity_cases():
     assert kern.normalize_word(()) == {((0,), (0,)): Fraction(1)}
 
 
+def test_products_keep_fraction_coefficients():
+    # blocks carry int coefficients; a product whose scale is exactly 1
+    # must still hand back Fractions
+    A1 = weyl_presentation(1)
+    x, y = A1.x(1), A1.y(1)
+    for f in (x ** 3, y * x ** 3, x * y + y * x, (x * y) * (y * x)):
+        assert f.terms
+        assert all(type(c) is Fraction for c in f.terms.values())
+
+
 def _rees(P, entries):
     return rees_presentation(P, WeightVector.for_ring(P, entries)).ring
 
