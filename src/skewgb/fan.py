@@ -167,11 +167,36 @@ def _cone_forms(P: RingPresentation, basis, w: WeightVector):
     return equalities, strict
 
 
-def _reduced_marked_basis(
-    P: RingPresentation, gens: Sequence[SkewPoly], w_int: WeightVector
-):
+class _Bases:
+    """The weighted bases of one ideal, each computed at most once.
+
+    Holds the ring and generators of one public call and, keyed by the
+    entries of an integral weight, the basis ``groebner_wrt_weight``
+    returns there with the canonical initial ideal read off it, both as
+    tuples, since several cones share them.  A fresh object is made for
+    each public call and dropped when it returns.
+    """
+
+    __slots__ = ("ring", "gens", "_memo")
+
+    def __init__(self, P: RingPresentation, gens: Sequence[SkewPoly]):
+        self.ring = P
+        self.gens = gens
+        self._memo: Dict[tuple, tuple] = {}
+
+    def at(self, w_int: WeightVector):
+        """(basis, init) at an integral weight, init the canonical in_w(I)."""
+        found = self._memo.get(w_int.entries)
+        if found is None:
+            basis, order = groebner_wrt_weight(self.ring, self.gens, w_int)
+            init = _initial_ideal_of(self.ring, basis, w_int, order.kind)
+            found = self._memo[w_int.entries] = (tuple(basis), tuple(init))
+        return found
+
+
+def _reduced_marked_basis(bases: _Bases, w_int: WeightVector):
     """A reduced basis for the class of an integral weight, its initial
-    ideal, and GR certification data; each basis is computed once.
+    ideal, and GR certification data.
 
     Returns (basis, init, inside_gr, positive_rep), with ``init`` the
     canonical in_w(I) read off the basis at w_int.  For nonnegative
@@ -181,11 +206,10 @@ def _reduced_marked_basis(
     the possibly unreduced basis from the Rees route is used
     best-effort.
     """
-    basis, order = groebner_wrt_weight(P, gens, w_int)
-    init = _initial_ideal_of(P, basis, w_int, order.kind)
+    basis, init = bases.at(w_int)
     if w_int.is_positive():
         return basis, init, True, w_int
-    rep, rep_basis = _class_has_positive(P, gens, basis, init, w_int)
+    rep, rep_basis = _class_has_positive(bases, basis, init, w_int)
     if rep is None:
         return basis, init, False, None
     if w_int.is_nonnegative():
@@ -194,9 +218,10 @@ def _reduced_marked_basis(
     return rep_basis, init, True, rep
 
 
-def _class_has_positive(P: RingPresentation, gens, basis, init, w: WeightVector):
+def _class_has_positive(bases: _Bases, basis, init, w: WeightVector):
     """A positive representative of the class of w and its basis, certified
     by its initial ideal being ``init``; (None, None) if none is found."""
+    P = bases.ring
     dim = P.m + P.n
     equalities, strict = _cone_forms(P, basis, w)
     coord = [
@@ -207,8 +232,8 @@ def _class_has_positive(P: RingPresentation, gens, basis, init, w: WeightVector)
     if point is None:
         return None, None
     rep = _integral_scale(WeightVector(point[: P.m], point[P.m:]))
-    rep_basis, order = groebner_wrt_weight(P, gens, rep)
-    if _initial_ideal_of(P, rep_basis, rep, order.kind) != init:
+    rep_basis, rep_init = bases.at(rep)
+    if rep_init != init:
         return None, None
     return rep, rep_basis
 
@@ -217,10 +242,15 @@ def cone_of(
     P: RingPresentation, gens: Sequence[SkewPoly], w: WeightVector
 ) -> GroebnerCone:
     """The Groebner cone (equivalence class) of w for the ideal of gens."""
+    return _cone(_Bases(P, gens), w)
+
+
+def _cone(bases: _Bases, w: WeightVector) -> GroebnerCone:
+    P = bases.ring
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
     w_int = _integral_scale(w)
-    basis, init, inside_gr, rep = _reduced_marked_basis(P, gens, w_int)
+    basis, init, inside_gr, rep = _reduced_marked_basis(bases, w_int)
     equalities, strict = _cone_forms(P, basis, w_int)
     dim = P.m + P.n
     eqs = sorted(set(e for e in equalities if any(e)))
@@ -248,7 +278,7 @@ def gr_region_contains(
     if w.is_positive():
         return True
     w_int = _integral_scale(w)
-    _basis, _init, inside_gr, _rep = _reduced_marked_basis(P, gens, w_int)
+    _basis, _init, inside_gr, _rep = _reduced_marked_basis(_Bases(P, gens), w_int)
     return inside_gr
 
 
@@ -295,7 +325,7 @@ def epsilon_threshold(
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
     w_int = _integral_scale(w)
-    basis, _init, _inside, _rep = _reduced_marked_basis(P, gens, w_int)
+    basis, _init, _inside, _rep = _reduced_marked_basis(_Bases(P, gens), w_int)
     return _epsilon_bound(P, basis, w_int, w_prime)
 
 
@@ -335,7 +365,8 @@ def walk(
     epsilon bound read off the basis there, so no cone is skipped; each
     wall is certified by checking that the initial ideal before it
     matches the cone, that the wall lies in the closure of the cone
-    after it, and that the wall itself is not a maximal cone.
+    after it, and that the wall itself is not a maximal cone.  The
+    weighted bases are shared within the call: none is computed twice.
     """
     for w in (w_start, w_end):
         if not pr_contains(P, w):
@@ -344,7 +375,8 @@ def walk(
     segments: List[WalkSegment] = []
     t_enter = Fraction(0)
     w_here = w_start
-    here = cone_of(P, gens, w_here)
+    bases = _Bases(P, gens)
+    here = _cone(bases, w_here)
     while True:
         if len(segments) >= _MAX_CONES:
             raise BudgetExceeded("walk cones", _MAX_CONES)
@@ -355,7 +387,7 @@ def walk(
         while step >= eps:
             step /= 2
         w_rep = _segment_point(w_start, w_end, t_enter + step)
-        cone = here if here.contains(w_rep) else cone_of(P, gens, w_rep)
+        cone = here if here.contains(w_rep) else _cone(bases, w_rep)
         if not cone.contains(w_here, closure=True):
             raise SkewGbError(f"walk stepped past a cone after t={t_enter}")
         # exit parameter: first root of a strict form along the segment
@@ -376,11 +408,11 @@ def walk(
             break
         # certify the wall: the one-sided initial ideal matches the cone
         before = _segment_point(w_start, w_end, (t_enter + t_exit) / 2)
-        if initial_ideal_weight(P, gens, before) != list(cone.initial_gens):
+        if bases.at(_integral_scale(before))[1] != cone.initial_gens:
             raise SkewGbError(f"walk certification failed before wall t={t_exit}")
         # the wall itself is a genuine lower-dimensional class
         w_here = _segment_point(w_start, w_end, t_exit)
-        here = cone_of(P, gens, w_here)
+        here = _cone(bases, w_here)
         if here.is_maximal():
             raise SkewGbError(f"expected a wall at t={t_exit}, found a maximal cone")
         t_enter = t_exit
@@ -419,8 +451,8 @@ class GroebnerFan:
         return f"GroebnerFan({len(self.cones)} cones{flag})"
 
 
-def _generic_seed(P: RingPresentation, gens: Sequence[SkewPoly]) -> WeightVector:
-    """A positive weight whose initial ideal is monomial.
+def _generic_seed(bases: _Bases) -> GroebnerCone:
+    """The maximal cone of a positive weight: its initial ideal is monomial.
 
     A sample weight on a lower-dimensional cone is nudged off one of its
     equalities at a time.  Each nudge lands in a cone that has the
@@ -428,10 +460,11 @@ def _generic_seed(P: RingPresentation, gens: Sequence[SkewPoly]) -> WeightVector
     maximal cone the search repeats from the first nudged weight; after
     m + n rounds the dimension argument is exhausted.
     """
+    P = bases.ring
     w = pr_sample_positive(P)
-    cone = cone_of(P, gens, w)
+    cone = _cone(bases, w)
     if cone.is_maximal():
-        return _integral_scale(w)
+        return cone
     dim = P.m + P.n
     for _ in range(dim):
         # perturb along a direction violating one equality while keeping
@@ -449,9 +482,9 @@ def _generic_seed(P: RingPresentation, gens: Sequence[SkewPoly]) -> WeightVector
             d = WeightVector(point[: P.m], point[P.m:])
             eps = _epsilon_bound(P, cone.basis, cone.weight, d)
             candidate = _integral_scale(w + d.scale(eps / 2))
-            candidate_cone = cone_of(P, gens, candidate)
+            candidate_cone = _cone(bases, candidate)
             if candidate_cone.is_maximal():
-                return candidate
+                return candidate_cone
             if step is None:
                 step = (candidate, candidate_cone)
         if step is None:
@@ -461,16 +494,13 @@ def _generic_seed(P: RingPresentation, gens: Sequence[SkewPoly]) -> WeightVector
 
 
 def _cross_facet(
-    P: RingPresentation,
-    gens: Sequence[SkewPoly],
-    cone: GroebnerCone,
-    facet,
-    pr_forms,
+    bases: _Bases, cone: GroebnerCone, facet, pr_forms
 ) -> Optional[GroebnerCone]:
     """The maximal cone on the far side of a facet, or None when the
     facet lies on the boundary of the polynomial region."""
     if facet in pr_forms:
         return None
+    P = bases.ring
     dim = P.m + P.n
     others = [s for s in cone.strict if s != facet]
     point = find_point(dim, list(cone.equalities) + [facet], (), others)
@@ -482,12 +512,12 @@ def _cross_facet(
     d = WeightVector(
         [-x for x in facet[: P.m]], [-x for x in facet[P.m:]]
     )
-    basis, _init, _inside, _rep = _reduced_marked_basis(P, gens, p)
+    basis, _init, _inside, _rep = _reduced_marked_basis(bases, p)
     eps = _epsilon_bound(P, basis, p, d)
     candidate = _integral_scale(p + d.scale(eps / 2))
     if not pr_contains(P, candidate):
         return None
-    neighbor = cone_of(P, gens, candidate)
+    neighbor = _cone(bases, candidate)
     if not neighbor.is_maximal():
         raise SkewGbError("facet crossing landed on a non-maximal cone")
     return neighbor
@@ -501,9 +531,12 @@ def enumerate_fan(
 ) -> GroebnerFan:
     """All maximal Groebner cones, found by breadth-first facet crossing.
 
-    When the ideal is zero or contains a unit the fan is the single cone
-    equal to the whole polynomial region.  If ``max_cones`` is exceeded
-    a partial fan is returned with ``complete`` set to False.
+    Each interior facet is crossed once, from the side found first: the
+    crossing from C to C' over the form f marks -f on C' as done.  The
+    weighted bases are shared within the call, so none is computed
+    twice.  When the ideal is zero or contains a unit the fan is the
+    single cone equal to the whole polynomial region.  If ``max_cones``
+    is exceeded a partial fan is returned with ``complete`` set to False.
     """
     gens = [g for g in gens if not g.is_zero()]
     pr = pr_halfspaces(P)
@@ -511,28 +544,37 @@ def enumerate_fan(
         w0 = pr_sample_positive(P)
         trivial = GroebnerCone(P, _integral_scale(w0), (), pr.strict, (), (), True, None)
         return GroebnerFan(P, [trivial], (), True)
+    bases = _Bases(P, gens)
     if seed is None:
-        seed = _generic_seed(P, gens)
-    first = cone_of(P, gens, seed)
-    if not first.is_maximal():
-        raise SkewGbError("seed weight lies on a wall; supply a generic seed")
+        first = _generic_seed(bases)
+    else:
+        first = _cone(bases, seed)
+        if not first.is_maximal():
+            raise SkewGbError("seed weight lies on a wall; supply a generic seed")
     if any(len(h.terms) == 1 and not any(_mono_vec(next(iter(h.terms)))) for h in first.initial_gens):
         # the ideal contains a unit: one cone covering the whole region
         return GroebnerFan(P, [first], (), True)
     pr_forms = set(pr.strict)
     cones: Dict[tuple, GroebnerCone] = {first.key(): first}
     adjacency: Set[frozenset] = set()
+    # (cone key, facet form) pairs already crossed from the other side;
+    # _normalize_form scales by a positive factor, so -f is normalized
+    crossed: Set[tuple] = set()
     queue = [first]
     complete = True
     while queue:
         cone = queue.pop(0)
+        here = cone.key()
         for facet in cone.strict:
-            neighbor = _cross_facet(P, gens, cone, facet, pr_forms)
+            if (here, facet) in crossed:
+                continue
+            neighbor = _cross_facet(bases, cone, facet, pr_forms)
             if neighbor is None:
                 continue
             k = neighbor.key()
-            if k != cone.key():
-                adjacency.add(frozenset((cone.key(), k)))
+            if k != here:
+                adjacency.add(frozenset((here, k)))
+            crossed.add((k, tuple(-x for x in facet)))
             if k not in cones:
                 if len(cones) >= max_cones:
                     complete = False
@@ -546,7 +588,8 @@ def enumerate_fan(
 def universal_gb(P: RingPresentation, gens: Sequence[SkewPoly]) -> List[SkewPoly]:
     """A finite universal Groebner basis: union of the marker bases of
     all maximal cones of the Groebner fan of the homogenized ideal,
-    dehomogenized."""
+    dehomogenized.  The fan pass shares its weighted bases, so none is
+    computed twice within the call."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []

@@ -411,26 +411,3 @@ def _initial_ideal_of(P: RingPresentation, basis, w: WeightVector, kind: str):
         return []
     comm = buchberger(P.graded(), forms, MonomialOrder(kind))
     return sorted(comm.elements, key=lambda h: sorted(h.terms))
-
-
-# -- commutative helpers over S ---------------------------------------
-
-
-def ideal_member_comm(S: RingPresentation, f: SkewPoly, gb: GroebnerBasis) -> bool:
-    return normal_form(S, f, list(gb.elements), gb.order).is_zero()
-
-
-def ideals_equal_comm(
-    S: RingPresentation, gens_a: Sequence[SkewPoly], gens_b: Sequence[SkewPoly]
-) -> bool:
-    """Equality of two S-ideals by mutual normal-form membership."""
-    gens_a = [g for g in gens_a if not g.is_zero()]
-    gens_b = [g for g in gens_b if not g.is_zero()]
-    if not gens_a or not gens_b:
-        return bool(gens_a) == bool(gens_b)
-    order = MonomialOrder("grevlex")
-    gb_a = buchberger(S, gens_a, order)
-    gb_b = buchberger(S, gens_b, order)
-    return all(ideal_member_comm(S, f, gb_b) for f in gens_a) and all(
-        ideal_member_comm(S, f, gb_a) for f in gens_b
-    )

@@ -248,6 +248,7 @@ def parse_problem(text: str) -> Problem:
     gen_specs: List[Tuple[str, int]] = []
     weight_specs: List[Tuple[str, int]] = []
     order_kind = "grevlex"
+    seen = set()  # the single-valued stanzas met so far
     for lineno, raw in enumerate(text.splitlines(), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -257,6 +258,10 @@ def parse_problem(text: str) -> Problem:
         key, _sep, value = stripped.partition(":")
         key = key.strip()
         value = value.strip()
+        if key in ("ring", "order"):
+            if key in seen:
+                raise ParseError(f"repeated {key} stanza", lineno, 0)
+            seen.add(key)
         if key == "ring":
             parsed, is_custom = _parse_ring_header(value, lineno)
             if is_custom:
@@ -268,7 +273,10 @@ def parse_problem(text: str) -> Problem:
             if custom is None:
                 raise ParseError("relation line outside a custom ring", lineno, 0)
             target = q1 if which == "1" else q2
-            target[(int(i), int(j))] = (value, lineno)
+            pair = (int(i), int(j))
+            if pair in target:
+                raise ParseError(f"repeated q{which} {pair[0]} {pair[1]} line", lineno, 0)
+            target[pair] = (value, lineno)
         elif key == "ideal":
             for chunk in value.split(";"):
                 chunk = chunk.strip()

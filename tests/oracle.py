@@ -4,11 +4,16 @@
 *randomly chosen* descent at each step, providing a strategy-independence
 oracle; the library kernel rewrites no words, it moves one ``y_i`` at a
 time with the derivation rule.  ``multiply_naive`` multiplies standard
-expressions by expanding both factors to generator words.  The oracles
-work through the public presentation API only.
+expressions by expanding both factors to generator words.
+``ideals_equal_comm`` decides equality of two ideals of a commutative
+ring by mutual normal-form membership, the reference the canonical
+initial-ideal lists are checked against.  The oracles work through the
+public API only.
 """
 
 from fractions import Fraction
+
+from skewgb import MonomialOrder, buchberger, normal_form
 
 
 def expand_tokens(m, xexp, yexp):
@@ -105,3 +110,22 @@ def count_monomials_outside(gens, weights, upto):
 
     rec(0, (), 0)
     return counts
+
+
+def ideal_member_comm(S, f, gb):
+    """Whether f lies in the ideal of S with Groebner basis gb."""
+    return normal_form(S, f, list(gb.elements), gb.order).is_zero()
+
+
+def ideals_equal_comm(S, gens_a, gens_b):
+    """Equality of two S-ideals by mutual normal-form membership."""
+    gens_a = [g for g in gens_a if not g.is_zero()]
+    gens_b = [g for g in gens_b if not g.is_zero()]
+    if not gens_a or not gens_b:
+        return bool(gens_a) == bool(gens_b)
+    order = MonomialOrder("grevlex")
+    gb_a = buchberger(S, gens_a, order)
+    gb_b = buchberger(S, gens_b, order)
+    return all(ideal_member_comm(S, f, gb_b) for f in gens_a) and all(
+        ideal_member_comm(S, f, gb_a) for f in gens_b
+    )

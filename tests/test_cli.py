@@ -147,6 +147,8 @@ class TestExitCodes:
             ("ring: custom 1 1\nq2 2 1: 1\nideal: y1*x1\n", "q2 index (2, 1) out of range"),
             ("ring: weyl 0\nideal: 1\n", "weyl_presentation requires n >= 1"),
             ("ring: commutative -1\nideal: 1\n", "generator counts must be nonnegative"),
+            ("ring: custom 1 1\nring: weyl 1\nideal: y1*x1\n", "repeated ring stanza"),
+            ("ring: weyl 1\nring: commutative 1 1\nideal: y1*x1\n", "repeated ring stanza"),
         ):
             bad.write_text(text)
             code, out, err = run(["gb", str(bad)], capsys)

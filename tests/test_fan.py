@@ -6,28 +6,43 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewgb import (
     RegionError,
+    SkewPoly,
     WeightVector,
     cone_of,
     enumerate_fan,
     epsilon_threshold,
     gr_region_contains,
     initial_ideal_weight,
+    pr_halfspaces,
     same_class,
     sl2_presentation,
+    universal_gb,
     walk,
     weyl_presentation,
 )
-from skewgb.fan import _generic_seed
+from skewgb import fan as fan_module
+from skewgb import groebner
+from skewgb.fan import _Bases, _generic_seed
 
 A1 = weyl_presentation(1)
 A2 = weyl_presentation(2)
+A3 = weyl_presentation(3)
 SL2 = sl2_presentation()
 
 PARABOLA = [A1.y(1) ** 2 - A1.x(1)]
-EXAMPLE_B = None  # constructed below
+THREE_CONE = [A2.y(1) + A2.y(2) + A2.x(1)]
+# without a seed this fan needs the seed search off a codimension-2 face
+A3_GENS = [
+    A3.y(1) ** 2 - A3.y(2),
+    A3.x(1) * A3.y(1) + 2 * A3.x(2) * A3.y(2),
+    A3.y(3) - A3.x(3),
+]
+A3_SEED = WeightVector.for_ring(A3, [1, 1, 2, 3, 7, 5])
 
 
 def _w(P, entries):
@@ -130,24 +145,23 @@ class TestEpsilonThreshold:
         assert epsilon_identity_holds(A2, gens, w, d, eps0)
 
 
+@pytest.fixture
+def weighted_calls(monkeypatch):
+    """The weights at which ``groebner_wrt_weight`` is called, in order."""
+    calls = []
+    real = groebner.groebner_wrt_weight
+
+    def counting(P, gens, w, *args, **kw):
+        calls.append(tuple(w.entries))
+        return real(P, gens, w, *args, **kw)
+
+    monkeypatch.setattr(groebner, "groebner_wrt_weight", counting)
+    monkeypatch.setattr(fan_module, "groebner_wrt_weight", counting)
+    return calls
+
+
 class TestOneBasisPerWeight:
     """Each public call computes the basis at a weight at most once."""
-
-    @pytest.fixture
-    def weighted_calls(self, monkeypatch):
-        import skewgb.fan as fan
-        import skewgb.groebner as groebner
-
-        calls = []
-        real = groebner.groebner_wrt_weight
-
-        def counting(P, gens, w, *args, **kw):
-            calls.append(tuple(w.entries))
-            return real(P, gens, w, *args, **kw)
-
-        monkeypatch.setattr(groebner, "groebner_wrt_weight", counting)
-        monkeypatch.setattr(fan, "groebner_wrt_weight", counting)
-        return calls
 
     @pytest.mark.parametrize(
         "entries, expected", [((1, 3), 1), ((3, -1), 2)]
@@ -366,12 +380,117 @@ class TestEnumerateFan:
     def test_generic_seed_leaves_codimension_two_face(self):
         # the sample weight of this A3 ideal lies on a face of codimension
         # >= 2, where no single nudge reaches a maximal cone
-        A3 = weyl_presentation(3)
-        gens = [
-            A3.y(1) ** 2 - A3.y(2),
-            A3.x(1) * A3.y(1) + 2 * A3.x(2) * A3.y(2),
-            A3.y(3) - A3.x(3),
-        ]
-        seed = _generic_seed(A3, gens)
-        assert seed.is_positive()
-        assert cone_of(A3, gens, seed).is_maximal()
+        cone = _generic_seed(_Bases(A3, A3_GENS))
+        assert cone.weight.is_positive()
+        assert cone_of(A3, A3_GENS, cone.weight).is_maximal()
+
+
+# (ring, generators, seed) of the fans whose work is pinned below
+FANS = {
+    "parabola": (A1, PARABOLA, None),
+    "example_b": (A2, _example_b_gens(), None),
+    "three_cone": (A2, THREE_CONE, None),
+    "a3_seeded": (A3, A3_GENS, A3_SEED),
+}
+SMALL_FANS = ["parabola", "example_b", "three_cone"]
+
+
+class TestFanComputesEachBasisOnce:
+    """A fan, walk or universal basis asks for each weighted basis once."""
+
+    @pytest.mark.parametrize("name", SMALL_FANS)
+    def test_enumerate_fan(self, weighted_calls, name):
+        P, gens, seed = FANS[name]
+        assert enumerate_fan(P, gens, seed=seed).complete
+        assert weighted_calls and len(set(weighted_calls)) == len(weighted_calls)
+
+    @pytest.mark.parametrize("name", SMALL_FANS)
+    def test_universal_gb(self, weighted_calls, name):
+        P, gens, _seed = FANS[name]
+        assert universal_gb(P, gens)
+        assert weighted_calls and len(set(weighted_calls)) == len(weighted_calls)
+
+    @pytest.mark.parametrize(
+        "name, w_from, w_to",
+        [
+            ("parabola", (1, 3), (3, 1)),
+            ("parabola", (-1, 3), (3, -1)),
+            ("example_b", (1, 1, 1, 3), (3, 1, 2, 1)),
+            ("example_b", (2, 2, -1, 1), (1, 3, 1, -1)),
+            ("three_cone", (1, 1, 1, 3), (3, 1, 2, 1)),
+            ("three_cone", (2, 1, -1, 1), (-1, 2, 3, 1)),
+        ],
+    )
+    def test_walk(self, weighted_calls, name, w_from, w_to):
+        P, gens, _seed = FANS[name]
+        segs = walk(P, gens, _w(P, w_from), _w(P, w_to))
+        assert len(segs) >= 2
+        assert len(set(weighted_calls)) == len(weighted_calls)
+
+    @pytest.mark.parametrize("name", sorted(FANS))
+    def test_each_interior_facet_crossed_once(self, monkeypatch, name):
+        # one successful crossing per adjacent pair; crossing from both
+        # sides made twice as many
+        crossings = []
+        real = fan_module._cross_facet
+
+        def counting(*args):
+            neighbor = real(*args)
+            if neighbor is not None:
+                crossings.append(neighbor.key())
+            return neighbor
+
+        monkeypatch.setattr(fan_module, "_cross_facet", counting)
+        P, gens, seed = FANS[name]
+        fan = enumerate_fan(P, gens, seed=seed)
+        assert fan.complete and fan.adjacency
+        assert len(crossings) == len(fan.adjacency)
+
+
+def assert_interior_facets_shared(P, fan):
+    """Every facet off the PR boundary is shared with an adjacent cone.
+
+    Crossing a facet once relies on this: the cone C' across the form f
+    of C has -f among its strict forms, and {C, C'} is an adjacency.
+    """
+    assert fan.complete
+    pr_forms = set(pr_halfspaces(P).strict)
+    for cone in fan.cones:
+        for form in cone.strict:
+            if form in pr_forms:
+                continue
+            opposite = tuple(-x for x in form)
+            assert any(
+                other is not cone
+                and opposite in other.strict
+                and frozenset((cone.key(), other.key())) in fan.adjacency
+                for other in fan.cones
+            ), (cone, form)
+
+
+@st.composite
+def small_a1_ideals(draw):
+    """1-2 generators of A1, each of 1-3 terms x1^a*y1^b with a, b <= 3."""
+    monos = [((a,), (b,)) for a in range(4) for b in range(4)]
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        coeffs = draw(
+            st.lists(
+                st.integers(-3, 3).filter(bool), min_size=len(support), max_size=len(support)
+            )
+        )
+        gens.append(SkewPoly(A1, {mono: Fraction(c) for mono, c in zip(support, coeffs)}))
+    return gens
+
+
+class TestInteriorFacetsShared:
+    @pytest.mark.parametrize("name", sorted(FANS))
+    def test_named_fans(self, name):
+        P, gens, seed = FANS[name]
+        assert_interior_facets_shared(P, enumerate_fan(P, gens, seed=seed))
+
+    @given(small_a1_ideals())
+    @settings(max_examples=25, deadline=None)
+    def test_small_a1_fans(self, gens):
+        assert_interior_facets_shared(A1, enumerate_fan(A1, gens))

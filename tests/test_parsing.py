@@ -123,6 +123,22 @@ class TestProblems:
             parse_problem(f"# header\nring: {spec}\nideal: 1\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, what, line",
+        [
+            ("ring: custom 1 1\nring: weyl 1\nideal: y1*x1\n", "ring", 2),
+            ("ring: weyl 1\nring: custom 1 1\nideal: y1*x1\n", "ring", 2),
+            ("ring: weyl 1\nring: commutative 1 1\nideal: y1*x1\n", "ring", 2),
+            ("ring: weyl 1\norder: lex\norder: grevlex\n", "order", 3),
+            ("ring: custom 1 1\nq1 1 1: 1\nq1 1 1: 2\n", "q1 1 1", 3),
+            ("ring: custom 0 2\nq2 2 1: y1\nq2 2 1: y2\n", "q2 2 1", 3),
+        ],
+    )
+    def test_repeated_single_valued_stanza(self, text, what, line):
+        with pytest.raises(ParseError, match=f"repeated {what} ") as exc:
+            parse_problem(text)
+        assert exc.value.line == line
+
     def test_missing_ring(self):
         with pytest.raises(ParseError):
             parse_problem("ideal: y1\n")
