@@ -4,7 +4,11 @@ and the component dimension-bound checker.
 
 Minimal primes of a square-free monomial ideal are the minimal
 transversals of the generator supports; Krull dimension is the number of
-variables minus the smallest transversal.  Weighted Hilbert series are
+variables minus the smallest transversal.  The characteristic ideal
+in_(u,v)(I) comes as its reduced grevlex basis (``initial_ideal_weight``),
+so the grevlex leading monomials of that basis generate the monomial
+ideal whose primes and dimension are read here; nothing is completed a
+second time.  Weighted Hilbert series are
 computed by inclusion-exclusion over the lcm lattice of the generators.
 """
 
@@ -14,12 +18,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import RegionError, SkewGbError
-from .groebner import (
-    MonomialIdeal,
-    _integral_scale,
-    buchberger,
-    initial_ideal_weight,
-)
+from .groebner import MonomialIdeal, _Bases, _integral_scale, initial_ideal_weight
 from .orders import MonomialOrder
 from .ring import RingPresentation, SkewPoly
 from .weights import NEG_INF, WeightVector, pr_contains, pr_sample_positive
@@ -284,33 +283,26 @@ def _interpolate(xs: Sequence[int], ys: Sequence[Fraction], degree: int):
 # -- GK dimension and characteristic ideals ----------------------------
 
 
-def _monomialize(S: RingPresentation, gens: Sequence[SkewPoly]) -> MonomialIdeal:
-    """Monomial initial ideal of a commutative ideal (term order)."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return MonomialIdeal(S.m, S.n, [])
-    if all(len(g.terms) == 1 for g in gens):
-        return MonomialIdeal(S.m, S.n, [next(iter(g.terms)) for g in gens])
-    gb = buchberger(S, gens, MonomialOrder("grevlex"))
-    return gb.initial_ideal(S.m, S.n)
+def _leading_ideal(P: RingPresentation, init) -> MonomialIdeal:
+    """The grevlex initial ideal of in_w(I): a canonical in_w(I) is its
+    reduced grevlex basis, so its leading monomials generate it."""
+    order = MonomialOrder("grevlex")
+    return MonomialIdeal(P.m, P.n, [order.leading_monomial(h) for h in init])
 
 
 def gk_dim(P: RingPresentation, gens: Sequence[SkewPoly], w: WeightVector):
     """GK dimension of R/I under the filtration of a positive weight.
 
-    Computed as the Krull dimension of S/in_(u,v)(I), reading the
-    dimension off a further term-order initial when the initial ideal is
-    not monomial; -inf for the zero module.
+    Computed as the Krull dimension of S/in_(u,v)(I), read off the
+    monomial ideal of the leading monomials of its reduced grevlex
+    basis; -inf for the zero module.
     """
     w.check(P)
     if not w.is_positive():
         raise RegionError("GK dimension requires a strictly positive weight")
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
-    init = initial_ideal_weight(P, gens, w)
-    S = P.graded()
-    mono = _monomialize(S, init)
-    return krull_dim_monomial(mono)
+    return krull_dim_monomial(_leading_ideal(P, initial_ideal_weight(P, gens, w)))
 
 
 class CharacteristicIdeal:
@@ -338,12 +330,13 @@ def char_ideal(
     is left uncomputed.
     """
     init = initial_ideal_weight(P, gens, w)
+    return _characteristic(init, _leading_ideal(P, init))
+
+
+def _characteristic(init, J: MonomialIdeal) -> CharacteristicIdeal:
+    """The characteristic ideal of a canonical in_w(I) and its leading ideal J."""
     monomial = all(len(h.terms) == 1 for h in init)
-    radical = None
-    if monomial:
-        J = MonomialIdeal(P.m, P.n, [next(iter(h.terms)) for h in init])
-        radical = radical_monomial(J)
-    return CharacteristicIdeal(init, monomial, radical)
+    return CharacteristicIdeal(init, monomial, radical_monomial(J) if monomial else None)
 
 
 class ComponentReport:
@@ -441,17 +434,15 @@ def verify_component_bound(
     """
     if bound is None:
         bound = P.n
-    ci = char_ideal(P, gens, w)
-    S = P.graded()
+    bases = _Bases(P, gens)
+    init = bases.at(w)[1]
+    J = _leading_ideal(P, init)
+    ci = _characteristic(init, J)
+    # the GK dimension is the same at every positive weight, so a
+    # positive w serves and its basis is read once
+    w_gk = w if w.is_positive() else pr_sample_positive(P)
+    gkdim = krull_dim_monomial(_leading_ideal(P, bases.at(w_gk)[1]))
     w_int = _integral_scale(w)
-    J = _monomialize(S, list(ci.generators))
-    if w_int.is_positive():
-        # at a positive weight the characteristic ideal is the initial
-        # ideal gk_dim would compute again
-        gkdim = krull_dim_monomial(J)
-    else:
-        nonzero_gens = [g for g in gens if not g.is_zero()]
-        gkdim = gk_dim(P, nonzero_gens, pr_sample_positive(P))
     if ci.is_monomial:
         if J.is_unit():
             return ComponentReport(
@@ -472,7 +463,5 @@ def verify_component_bound(
             P, w_int, ci, bound, components, gkdim, total, "PASS" if ok else "FAIL"
         )
     total = krull_dim_monomial(J)
-    if total == NEG_INF:
-        return ComponentReport(P, w_int, ci, bound, [], gkdim, NEG_INF, "VACUOUS-PASS")
     verdict = "UNSUPPORTED" if total >= bound else "FAIL"
     return ComponentReport(P, w_int, ci, bound, [], gkdim, total, verdict)

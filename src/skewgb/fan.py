@@ -16,13 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceeded, RegionError, SkewGbError
-from .groebner import (
-    _dehomogenized,
-    _initial_ideal_of,
-    _integral_scale,
-    initial_ideal_weight,
-    groebner_wrt_weight,
-)
+from .groebner import _Bases, _dehomogenized, _integral_scale
 from .orders import MonomialOrder
 from .polyhedra import find_point, irredundant_strict
 from .rees import homogenize, rees_presentation
@@ -167,33 +161,6 @@ def _cone_forms(P: RingPresentation, basis, w: WeightVector):
     return equalities, strict
 
 
-class _Bases:
-    """The weighted bases of one ideal, each computed at most once.
-
-    Holds the ring and generators of one public call and, keyed by the
-    entries of an integral weight, the basis ``groebner_wrt_weight``
-    returns there with the canonical initial ideal read off it, both as
-    tuples, since several cones share them.  A fresh object is made for
-    each public call and dropped when it returns.
-    """
-
-    __slots__ = ("ring", "gens", "_memo")
-
-    def __init__(self, P: RingPresentation, gens: Sequence[SkewPoly]):
-        self.ring = P
-        self.gens = gens
-        self._memo: Dict[tuple, tuple] = {}
-
-    def at(self, w_int: WeightVector):
-        """(basis, init) at an integral weight, init the canonical in_w(I)."""
-        found = self._memo.get(w_int.entries)
-        if found is None:
-            basis, order = groebner_wrt_weight(self.ring, self.gens, w_int)
-            init = _initial_ideal_of(self.ring, basis, w_int, order.kind)
-            found = self._memo[w_int.entries] = (tuple(basis), tuple(init))
-        return found
-
-
 def _reduced_marked_basis(bases: _Bases, w_int: WeightVector):
     """A reduced basis for the class of an integral weight, its initial
     ideal, and GR certification data.
@@ -252,10 +219,9 @@ def _cone(bases: _Bases, w: WeightVector) -> GroebnerCone:
     w_int = _integral_scale(w)
     basis, init, inside_gr, rep = _reduced_marked_basis(bases, w_int)
     equalities, strict = _cone_forms(P, basis, w_int)
-    dim = P.m + P.n
-    eqs = sorted(set(e for e in equalities if any(e)))
-    stricts = sorted(set(s for s in strict if any(s)))
-    stricts = sorted(irredundant_strict(dim, eqs, stricts))
+    eqs = sorted(set(equalities))
+    # irredundant_strict prunes in input order, so give it a canonical one
+    stricts = irredundant_strict(P.m + P.n, eqs, sorted(set(strict)))
     return GroebnerCone(P, w_int, eqs, stricts, basis, init, inside_gr, rep)
 
 
@@ -266,7 +232,8 @@ def same_class(
     w2: WeightVector,
 ) -> bool:
     """Whether two weights induce the same initial ideal in S."""
-    return initial_ideal_weight(P, gens, w1) == initial_ideal_weight(P, gens, w2)
+    bases = _Bases(P, gens)
+    return bases.at(w1)[1] == bases.at(w2)[1]
 
 
 def gr_region_contains(

@@ -22,7 +22,7 @@ import heapq
 import math
 import os
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, RegionError, SkewGbError
 from .kernel import _add_terms
@@ -385,29 +385,55 @@ def groebner_wrt_weight(
     return result, ord_w
 
 
-def initial_ideal_weight(
-    P: RingPresentation,
-    gens: Sequence[SkewPoly],
-    w: WeightVector,
-    kind: str = "grevlex",
-) -> List[SkewPoly]:
-    """Canonical generators of the S-ideal in_(u,v)(I).
-
-    Takes the initial forms of a Groebner basis under the weight-refined
-    order and interreduces them to the reduced commutative Groebner
-    basis of the ideal they generate.  The output is canonical: the
-    reduced, monic basis under ``MonomialOrder(kind)``, sorted by
-    support.  For a fixed ``kind``, equal initial ideals (of any weights
-    or generating sets) give equal lists, and unequal ones unequal lists.
-    """
-    gb, _ord = groebner_wrt_weight(P, gens, w, kind=kind)
-    return _initial_ideal_of(P, gb, w, kind)
-
-
-def _initial_ideal_of(P: RingPresentation, basis, w: WeightVector, kind: str):
+def _initial_ideal_of(P: RingPresentation, basis, w: WeightVector):
     """The canonical in_w(I) read off a Groebner basis of I at w."""
     forms = [initial_form(P, g, w) for g in basis]
     if not forms:
         return []
-    comm = buchberger(P.graded(), forms, MonomialOrder(kind))
+    comm = buchberger(P.graded(), forms, MonomialOrder("grevlex"))
     return sorted(comm.elements, key=lambda h: sorted(h.terms))
+
+
+class _Bases:
+    """The weighted bases of one ideal, each computed at most once.
+
+    Holds the ring and generators of one public call and, keyed by the
+    entries of a weight, the basis ``groebner_wrt_weight`` returns there
+    with the canonical initial ideal read off it, both as tuples, since
+    several cones share them.  It is the only route from a weight to
+    in_w(I).  A positive multiple of a weight is a separate key; the fan
+    asks only at integral weights, so its keys agree.  A fresh object is
+    made for each public call and dropped when it returns.
+    """
+
+    __slots__ = ("ring", "gens", "_memo")
+
+    def __init__(self, P: RingPresentation, gens: Sequence[SkewPoly]):
+        self.ring = P
+        self.gens = gens
+        self._memo: Dict[tuple, tuple] = {}
+
+    def at(self, w: WeightVector):
+        """(basis, init) at a weight of PR(R), init the canonical in_w(I)."""
+        found = self._memo.get(w.entries)
+        if found is None:
+            basis, _order = groebner_wrt_weight(self.ring, self.gens, w)
+            init = _initial_ideal_of(self.ring, basis, w)
+            found = self._memo[w.entries] = (tuple(basis), tuple(init))
+        return found
+
+
+def initial_ideal_weight(
+    P: RingPresentation, gens: Sequence[SkewPoly], w: WeightVector
+) -> List[SkewPoly]:
+    """Canonical generators of the S-ideal in_(u,v)(I).
+
+    Takes the initial forms of a Groebner basis under the weight-refined
+    order and interreduces them to the reduced grevlex Groebner basis of
+    the ideal they generate, monic and sorted by support.  Equal initial
+    ideals (of any weights or generating sets) give equal lists, and
+    unequal ones unequal lists.  Being a grevlex basis, the list's
+    grevlex leading monomials generate the monomial initial ideal of
+    in_(u,v)(I).
+    """
+    return list(_Bases(P, gens).at(w)[1])

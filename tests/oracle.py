@@ -7,7 +7,10 @@ time with the derivation rule.  ``multiply_naive`` multiplies standard
 expressions by expanding both factors to generator words.
 ``ideals_equal_comm`` decides equality of two ideals of a commutative
 ring by mutual normal-form membership, the reference the canonical
-initial-ideal lists are checked against.  The oracles work through the
+initial-ideal lists are checked against.  ``initial_monomial_ideal_comm``
+completes a commutative ideal afresh under grevlex and returns its
+initial monomial ideal, the reference for the monomial ideals the
+characteristic-variety reports read off.  The oracles work through the
 public API only.
 """
 
@@ -115,6 +118,12 @@ def count_monomials_outside(gens, weights, upto):
 def ideal_member_comm(S, f, gb):
     """Whether f lies in the ideal of S with Groebner basis gb."""
     return normal_form(S, f, list(gb.elements), gb.order).is_zero()
+
+
+def initial_monomial_ideal_comm(S, gens):
+    """The grevlex initial monomial ideal of the S-ideal of gens, by a
+    fresh Buchberger completion."""
+    return buchberger(S, list(gens), MonomialOrder("grevlex")).initial_ideal(S.m, S.n)
 
 
 def ideals_equal_comm(S, gens_a, gens_b):

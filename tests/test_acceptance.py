@@ -30,11 +30,15 @@ from skewgb import (
     walk,
     weyl_presentation,
 )
-from skewgb.charvar import _monomialize
 from skewgb.weights import NEG_INF
 
 from corpus import CORPUS
-from oracle import count_monomials_outside, multiply_naive, normalize_word_random
+from oracle import (
+    count_monomials_outside,
+    initial_monomial_ideal_comm,
+    multiply_naive,
+    normalize_word_random,
+)
 from test_fan import epsilon_identity_holds
 from test_ring import random_poly
 
@@ -147,7 +151,7 @@ def test_criterion_5_gk_dim_independence_and_walls():
         kdims = []
         for seg in segments:
             kdims.append(
-                krull_dim_monomial(_monomialize(S, seg.cone.initial_gens))
+                krull_dim_monomial(initial_monomial_ideal_comm(S, seg.cone.initial_gens))
             )
         ok = ok and len(set(kdims)) <= 1
         for prev, nxt in zip(segments, segments[1:]):

@@ -1,9 +1,13 @@
 """Characteristic ideals, Hilbert series, dimensions, bound reports."""
 
+import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewgb import (
     HilbertSeries,
@@ -23,12 +27,16 @@ from skewgb import (
     verify_component_bound,
     weyl_presentation,
 )
-from skewgb.weights import NEG_INF
+from skewgb import charvar, groebner
+from skewgb.ring import SkewPoly
+from skewgb.weights import NEG_INF, pr_sample_positive
 
-from oracle import count_monomials_outside
+from corpus import CORPUS
+from oracle import count_monomials_outside, initial_monomial_ideal_comm
 
 A1 = weyl_presentation(1)
 A2 = weyl_presentation(2)
+A3 = weyl_presentation(3)
 SL2 = sl2_presentation()
 
 
@@ -190,16 +198,16 @@ class TestComponentReport:
         assert rep.gkdim == 2 and rep.bound == 2
 
     def test_positive_weight_computes_one_initial_ideal(self, monkeypatch):
-        import skewgb.charvar as charvar
+        import skewgb.groebner as groebner
 
         calls = []
-        real = charvar.initial_ideal_weight
+        real = groebner.groebner_wrt_weight
 
         def counting(*args, **kw):
             calls.append(args)
             return real(*args, **kw)
 
-        monkeypatch.setattr(charvar, "initial_ideal_weight", counting)
+        monkeypatch.setattr(groebner, "groebner_wrt_weight", counting)
         gens = [A2.y(1) ** 2 - A2.y(2), A2.x(1) * A2.y(1) + 2 * A2.x(2) * A2.y(2)]
         rep = verify_component_bound(A2, gens, _w(A2, [1, 1, 1, 3]))
         assert rep.gkdim == 2
@@ -237,3 +245,120 @@ class TestComponentReport:
             SL2, [SL2.y(1) * SL2.y(3) - SL2.y(2)], _w(SL2, [1, 1, 1]), bound=1
         )
         assert rep.verdict in ("PASS", "UNSUPPORTED")
+
+
+EXAMPLE_B = [A2.y(1) ** 2 - A2.y(2), A2.x(1) * A2.y(1) + 2 * A2.x(2) * A2.y(2)]
+# the GKZ system of A = [[1,1,1],[0,1,2]] with beta = (-1/2, 1/3)
+GKZ_A3 = [
+    A3.x(1) * A3.y(1) + A3.x(2) * A3.y(2) + A3.x(3) * A3.y(3) + Fraction(1, 2) * A3.one(),
+    A3.x(2) * A3.y(2) + 2 * A3.x(3) * A3.y(3) - Fraction(1, 3) * A3.one(),
+    A3.y(1) * A3.y(3) - A3.y(2) ** 2,
+]
+
+
+@pytest.fixture
+def route_calls(monkeypatch):
+    """Counts of weighted bases (``groebner_wrt_weight``) and of
+    completions on a commutative ring, which for a Weyl algebra is its
+    graded ring, wherever the package binds the two functions."""
+    counts = {"weighted": 0, "commutative": 0}
+    real_weighted = groebner.groebner_wrt_weight
+    real_completion = groebner.buchberger
+
+    def weighted(*args, **kw):
+        counts["weighted"] += 1
+        return real_weighted(*args, **kw)
+
+    def completion(S, *args, **kw):
+        if S.is_commutative:
+            counts["commutative"] += 1
+        return real_completion(S, *args, **kw)
+
+    for name, module in list(sys.modules.items()):
+        if name == "skewgb" or name.startswith("skewgb."):
+            for attr, real, fake in (
+                ("groebner_wrt_weight", real_weighted, weighted),
+                ("buchberger", real_completion, completion),
+            ):
+                if getattr(module, attr, None) is real:
+                    monkeypatch.setattr(module, attr, fake)
+    return counts
+
+
+class TestSingleRoute:
+    """A report reads in_w(I), its monomial ideal and its GK dimension off
+    the weighted bases of one call: one commutative completion each."""
+
+    def test_report_ideal_is_the_initial_ideal(self, monkeypatch):
+        seen = []
+        real = charvar._leading_ideal
+
+        def recording(P, init):
+            seen.append(real(P, init))
+            return seen[-1]
+
+        monkeypatch.setattr(charvar, "_leading_ideal", recording)
+        for entry in CORPUS:
+            P, gens = entry["ring"], entry["gens"]
+            for w in entry["weights"]:
+                seen.clear()
+                verify_component_bound(P, gens, w)
+                used = seen[0]
+                oracle = initial_monomial_ideal_comm(
+                    P.graded(), char_ideal(P, gens, w).generators
+                )
+                assert used == oracle, (entry["name"], w)
+
+    @pytest.mark.parametrize(
+        "P, gens, entries, bases",
+        [
+            (A2, EXAMPLE_B, (1, 1, 1, 3), 1),
+            (A2, EXAMPLE_B, (0, 0, 1, 1), 2),
+            (A2, EXAMPLE_B, (2, 2, -1, 1), 2),
+            (A3, GKZ_A3, (1, 1, 1, 1, 1, 1), 1),
+        ],
+        ids=["example_b-positive", "example_b-zeros", "example_b-mixed", "gkz_a3-positive"],
+    )
+    def test_one_completion_per_weighted_basis(self, route_calls, P, gens, entries, bases):
+        verify_component_bound(P, gens, _w(P, entries))
+        assert route_calls["weighted"] == bases
+        assert route_calls["commutative"] == bases
+
+
+@st.composite
+def small_pr_cases(draw):
+    """1-2 generators of degree <= 2 in A1 or A2, each of 1-3 terms, and
+    an integral weight with u + v > 0 (PR of A_n), of any signs."""
+    P = draw(st.sampled_from([A1, A2]))
+    monos = [
+        (e[: P.m], e[P.m:])
+        for e in itertools.product(range(3), repeat=P.m + P.n)
+        if sum(e) <= 2
+    ]
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        coeffs = draw(
+            st.lists(
+                st.integers(-3, 3).filter(bool), min_size=len(support), max_size=len(support)
+            )
+        )
+        gens.append(SkewPoly(P, {mono: Fraction(c) for mono, c in zip(support, coeffs)}))
+    u = draw(st.lists(st.integers(-3, 3), min_size=P.m, max_size=P.m))
+    v = [draw(st.integers(1, 4)) - ui for ui in u]
+    return P, gens, WeightVector(u, v)
+
+
+class TestComponentBoundTheorem:
+    """The paper's theorem: at every weight of PR(R), each irreducible
+    component of the characteristic variety of R/I has dimension at
+    least n, and the GK dimension does not depend on the weight."""
+
+    @given(small_pr_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_components_reach_n(self, case):
+        P, gens, w = case
+        rep = verify_component_bound(P, gens, w)
+        assert rep.verdict != "FAIL"
+        assert all(c["dim"] >= P.n for c in rep.components)
+        assert rep.gkdim == gk_dim(P, gens, pr_sample_positive(P))

@@ -351,10 +351,7 @@ class TestCanonicalInitialIdeal:
         other = [gens[1], gens[0] + A2.x(1) * gens[1], gens[0]]
         for entries in ((1, 1, 1, 1), (1, 1, 1, 3), (2, 2, -1, -1)):
             w = WeightVector.for_ring(A2, entries)
-            for kind in ("lex", "grlex", "grevlex"):
-                assert initial_ideal_weight(A2, gens, w, kind=kind) == (
-                    initial_ideal_weight(A2, other, w, kind=kind)
-                )
+            assert initial_ideal_weight(A2, gens, w) == initial_ideal_weight(A2, other, w)
 
 
 class TestUniversal:

@@ -1,5 +1,6 @@
 """Source hygiene: no module imports a name it never uses, every import
-sits at module level, and no public function takes ``**kwargs``."""
+sits at module level, no public function takes ``**kwargs``, and one
+route leads from a weight to its weighted basis and initial ideal."""
 
 import ast
 import pathlib
@@ -137,3 +138,57 @@ def test_no_keyword_catchalls(path):
     # a forwarded option that no caller sets can only misfire, as when a
     # fan seed was handed on to the fan of a Rees ring of another shape
     assert keyword_catchalls(path.read_text(encoding="utf-8")) == []
+
+
+def call_sites(source: str, names):
+    """(called name, enclosing ``Class.function``) of each call of one of
+    ``names``, by plain name or as an attribute; "" at module level."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = getattr(func, "id", None) or getattr(func, "attr", None)
+                if called in names:
+                    found.add((called, scope))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_call_site_detector():
+    source = (
+        "f(1)\n"
+        "def g():\n"
+        "    return mod.f(2) + h()\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        def inner():\n"
+        "            f()\n"
+    )
+    assert call_sites(source, {"f"}) == [("f", ""), ("f", "C.m.inner"), ("f", "g")]
+
+
+# the only callers of the weighted basis and of the initial ideal read off
+# it: everything else asks a ``_Bases`` memo, so nothing computes a basis
+# the call already holds
+ROUTE = {
+    ("_initial_ideal_of", "groebner.py", "_Bases.at"),
+    ("groebner_wrt_weight", "groebner.py", "_Bases.at"),
+    ("groebner_wrt_weight", "cli.py", "cmd_gb"),
+}
+
+
+def test_single_route_from_weight_to_initial_ideal():
+    names = {name for name, _module, _scope in ROUTE}
+    sites = {
+        (name, path.name, scope)
+        for path in ALL_MODULES
+        for name, scope in call_sites(path.read_text(encoding="utf-8"), names)
+    }
+    assert sites == ROUTE
