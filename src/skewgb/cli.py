@@ -89,7 +89,9 @@ def cmd_fan(args) -> int:
 
 def cmd_walk(args) -> int:
     problem = parse_problem_file(args.file)
-    if args.from_weight is not None and args.to_weight is not None:
+    if (args.from_weight is None) != (args.to_weight is None):
+        raise ParseError("walk takes --from and --to together")
+    if args.from_weight is not None:
         w_from = _weight_flag(problem, args.from_weight)
         w_to = _weight_flag(problem, args.to_weight)
     elif len(problem.weights) >= 2:

@@ -56,8 +56,9 @@ class GroebnerCone:
     positive; both are normalized exponent-difference forms in the m + n
     weight coordinates.  ``basis`` is the marked Groebner basis that cut
     the cone out and ``initial_gens`` the canonical generators of the
-    shared initial ideal.  ``inside_gr`` records whether the class was
-    certified to contain a positive weight.
+    shared initial ideal.  ``positive_rep`` is a positive weight of the
+    class, certified by its initial ideal, or None when none was found;
+    ``inside_gr`` is derived from it.
     """
 
     __slots__ = (
@@ -67,7 +68,6 @@ class GroebnerCone:
         "strict",
         "basis",
         "initial_gens",
-        "inside_gr",
         "positive_rep",
     )
 
@@ -79,7 +79,6 @@ class GroebnerCone:
         strict,
         basis,
         initial_gens,
-        inside_gr: bool,
         positive_rep: Optional[WeightVector],
     ):
         self.ring = ring
@@ -88,8 +87,11 @@ class GroebnerCone:
         self.strict = tuple(sorted(set(strict)))
         self.basis = tuple(basis)
         self.initial_gens = tuple(initial_gens)
-        self.inside_gr = inside_gr
         self.positive_rep = positive_rep
+
+    @property
+    def inside_gr(self) -> bool:
+        return self.positive_rep is not None
 
     def is_maximal(self) -> bool:
         return not self.equalities
@@ -101,6 +103,7 @@ class GroebnerCone:
         )
 
     def contains(self, w: WeightVector, closure: bool = False) -> bool:
+        w.check(self.ring)
         entries = w.entries
         for form in self.equalities:
             if sum(c * x for c, x in zip(form, entries)) != 0:
@@ -161,48 +164,37 @@ def _cone_forms(P: RingPresentation, basis, w: WeightVector):
     return equalities, strict
 
 
-def _reduced_marked_basis(bases: _Bases, w_int: WeightVector):
-    """A reduced basis for the class of an integral weight, its initial
-    ideal, and GR certification data.
-
-    Returns (basis, init, inside_gr, positive_rep), with ``init`` the
-    canonical in_w(I) read off the basis at w_int.  For nonnegative
-    weights that basis is already reduced.  Otherwise the class is
-    searched for a positive representative: if one is certified (same
-    initial ideal), the reduced basis computed there is used; if not,
-    the possibly unreduced basis from the Rees route is used
-    best-effort.
-    """
-    basis, init = bases.at(w_int)
-    if w_int.is_positive():
-        return basis, init, True, w_int
-    rep, rep_basis = _class_has_positive(bases, basis, init, w_int)
-    if rep is None:
-        return basis, init, False, None
-    if w_int.is_nonnegative():
-        # already reduced (term order); keep the original marking
-        return basis, init, True, rep
-    return rep_basis, init, True, rep
-
-
-def _class_has_positive(bases: _Bases, basis, init, w: WeightVector):
-    """A positive representative of the class of w and its basis, certified
-    by its initial ideal being ``init``; (None, None) if none is found."""
+def _positive_rep(bases: _Bases, w: WeightVector, forms=None) -> Optional[WeightVector]:
+    """A positive weight of the class of the integral weight w, certified
+    by its initial ideal being in_w(I), or None; ``forms`` are the cone
+    forms of the basis at w when the caller already holds them."""
+    if w.is_positive():
+        return w
     P = bases.ring
     dim = P.m + P.n
-    equalities, strict = _cone_forms(P, basis, w)
+    basis, init = bases.at(w)
+    equalities, strict = forms or _cone_forms(P, basis, w)
     coord = [
         tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))
         for i in range(dim)
     ]
     point = find_point(dim, equalities, (), list(strict) + coord)
     if point is None:
-        return None, None
+        return None
     rep = _integral_scale(WeightVector(point[: P.m], point[P.m:]))
-    rep_basis, rep_init = bases.at(rep)
-    if rep_init != init:
-        return None, None
-    return rep, rep_basis
+    return rep if bases.at(rep)[1] == init else None
+
+
+def _marked_basis(bases: _Bases, w: WeightVector):
+    """A marked basis for the class of the integral weight w: the basis
+    at w when w is nonnegative (already reduced, a term order), else the
+    reduced basis at a certified positive weight of the class, or, when
+    none is found, the possibly unreduced Rees-route basis, best-effort."""
+    basis = bases.at(w)[0]
+    if w.is_nonnegative():
+        return basis
+    rep = _positive_rep(bases, w)
+    return basis if rep is None else bases.at(rep)[0]
 
 
 def cone_of(
@@ -217,12 +209,18 @@ def _cone(bases: _Bases, w: WeightVector) -> GroebnerCone:
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
     w_int = _integral_scale(w)
-    basis, init, inside_gr, rep = _reduced_marked_basis(bases, w_int)
-    equalities, strict = _cone_forms(P, basis, w_int)
+    basis, init = bases.at(w_int)
+    forms = _cone_forms(P, basis, w_int)
+    rep = _positive_rep(bases, w_int, forms)
+    if rep is not None and not w_int.is_nonnegative():
+        # the Rees basis may be unreduced; _marked_basis makes this choice
+        basis = bases.at(rep)[0]
+        forms = _cone_forms(P, basis, w_int)
+    equalities, strict = forms
     eqs = sorted(set(equalities))
     # irredundant_strict prunes in input order, so give it a canonical one
     stricts = irredundant_strict(P.m + P.n, eqs, sorted(set(strict)))
-    return GroebnerCone(P, w_int, eqs, stricts, basis, init, inside_gr, rep)
+    return GroebnerCone(P, w_int, eqs, stricts, basis, init, rep)
 
 
 def same_class(
@@ -242,11 +240,7 @@ def gr_region_contains(
     """Whether the class of w contains a positive weight (w in GR(I))."""
     if not pr_contains(P, w):
         return False
-    if w.is_positive():
-        return True
-    w_int = _integral_scale(w)
-    _basis, _init, inside_gr, _rep = _reduced_marked_basis(_Bases(P, gens), w_int)
-    return inside_gr
+    return _positive_rep(_Bases(P, gens), _integral_scale(w)) is not None
 
 
 # -- epsilon threshold -------------------------------------------------
@@ -292,8 +286,7 @@ def epsilon_threshold(
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
     w_int = _integral_scale(w)
-    basis, _init, _inside, _rep = _reduced_marked_basis(_Bases(P, gens), w_int)
-    return _epsilon_bound(P, basis, w_int, w_prime)
+    return _epsilon_bound(P, _marked_basis(_Bases(P, gens), w_int), w_int, w_prime)
 
 
 # -- walks -------------------------------------------------------------
@@ -418,6 +411,18 @@ class GroebnerFan:
         return f"GroebnerFan({len(self.cones)} cones{flag})"
 
 
+def _step(bases: _Bases, w: WeightVector, basis, d: WeightVector) -> GroebnerCone:
+    """The cone just off the integral weight w along d: the step is half
+    the epsilon bound read off the marked basis at w."""
+    P = bases.ring
+    eps = _epsilon_bound(P, basis, w, d)
+    candidate = _integral_scale(w + d.scale(eps / 2))
+    if not pr_contains(P, candidate):
+        # the bound caps eps by every PR form that d decreases
+        raise SkewGbError(f"step from {w} along {d} left the polynomial region")
+    return _cone(bases, candidate)
+
+
 def _generic_seed(bases: _Bases) -> GroebnerCone:
     """The maximal cone of a positive weight: its initial ideal is monomial.
 
@@ -428,8 +433,7 @@ def _generic_seed(bases: _Bases) -> GroebnerCone:
     m + n rounds the dimension argument is exhausted.
     """
     P = bases.ring
-    w = pr_sample_positive(P)
-    cone = _cone(bases, w)
+    cone = _cone(bases, pr_sample_positive(P))
     if cone.is_maximal():
         return cone
     dim = P.m + P.n
@@ -447,16 +451,14 @@ def _generic_seed(bases: _Bases) -> GroebnerCone:
             if point is None:
                 continue
             d = WeightVector(point[: P.m], point[P.m:])
-            eps = _epsilon_bound(P, cone.basis, cone.weight, d)
-            candidate = _integral_scale(w + d.scale(eps / 2))
-            candidate_cone = _cone(bases, candidate)
-            if candidate_cone.is_maximal():
-                return candidate_cone
+            candidate = _step(bases, cone.weight, cone.basis, d)
+            if candidate.is_maximal():
+                return candidate
             if step is None:
-                step = (candidate, candidate_cone)
+                step = candidate
         if step is None:
             break
-        w, cone = step
+        cone = step
     raise SkewGbError("could not find a generic seed weight")
 
 
@@ -479,12 +481,7 @@ def _cross_facet(
     d = WeightVector(
         [-x for x in facet[: P.m]], [-x for x in facet[P.m:]]
     )
-    basis, _init, _inside, _rep = _reduced_marked_basis(bases, p)
-    eps = _epsilon_bound(P, basis, p, d)
-    candidate = _integral_scale(p + d.scale(eps / 2))
-    if not pr_contains(P, candidate):
-        return None
-    neighbor = _cone(bases, candidate)
+    neighbor = _step(bases, p, _marked_basis(bases, p), d)
     if not neighbor.is_maximal():
         raise SkewGbError("facet crossing landed on a non-maximal cone")
     return neighbor
@@ -509,7 +506,7 @@ def enumerate_fan(
     pr = pr_halfspaces(P)
     if not gens:
         w0 = pr_sample_positive(P)
-        trivial = GroebnerCone(P, _integral_scale(w0), (), pr.strict, (), (), True, None)
+        trivial = GroebnerCone(P, w0, (), pr.strict, (), (), w0)
         return GroebnerFan(P, [trivial], (), True)
     bases = _Bases(P, gens)
     if seed is None:

@@ -153,6 +153,10 @@ class TestExitCodes:
             bad.write_text(text)
             code, out, err = run(["gb", str(bad)], capsys)
             assert code == 2 and out == "" and message in err, (text, code, out, err)
+        # the file's two weight stanzas are not a fallback for a lone flag
+        for argv in (["--from", "1,3"], ["--to", "3,1"]):
+            code, out, err = run(["walk", PARABOLA, *argv], capsys)
+            assert code == 2 and out == "" and "--from and --to together" in err, argv
 
     def test_region_error(self, tmp_path, capsys):
         f = tmp_path / "p.txt"

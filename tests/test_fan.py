@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from skewgb import (
     RegionError,
+    SkewGbError,
     SkewPoly,
     WeightVector,
     cone_of,
@@ -108,6 +109,15 @@ class TestConeOf:
         with pytest.raises(RegionError):
             cone_of(A1, PARABOLA, _w(A1, [-1, -1]))
 
+    def test_contains_rejects_weight_of_wrong_length(self):
+        # zip would drop the third entry and answer for (1, 3)
+        gens = [A1.y(1) - A1.x(1) ** 2]
+        bad = WeightVector([1], [3, -100])
+        with pytest.raises(RegionError):
+            cone_of(A1, gens, _w(A1, [1, 3])).contains(bad)
+        with pytest.raises(RegionError):
+            enumerate_fan(A1, gens).cone_containing(bad)
+
 
 class TestSameClass:
     def test_parabola_classes(self):
@@ -179,6 +189,17 @@ class TestOneBasisPerWeight:
     def test_gr_region_contains_positive(self, weighted_calls):
         assert gr_region_contains(A1, PARABOLA, _w(A1, [1, 3]))
         assert weighted_calls == []
+
+    @pytest.mark.parametrize(
+        "entries, expected", [((0, 1), Fraction(2, 3)), ((1, 0), 1), ((0, 3), 2)]
+    )
+    def test_epsilon_threshold_at_nonnegative_weight(self, weighted_calls, entries, expected):
+        # the basis at a nonnegative weight is already reduced: no search
+        # for a positive weight of the class, which computed a second basis
+        w, d = _w(A1, entries), _w(A1, [1, -1])
+        assert epsilon_threshold(A1, PARABOLA, w, d) == expected
+        assert len(weighted_calls) == 1
+        assert epsilon_identity_holds(A1, PARABOLA, w, d, expected)
 
     def test_epsilon_threshold_verified(self, weighted_calls):
         w, d = _w(A1, [1, 3]), _w(A1, [1, 0])
@@ -331,6 +352,8 @@ class TestEnumerateFan:
     def test_zero_ideal_single_cone(self):
         fan = enumerate_fan(A2, [])
         assert len(fan.cones) == 1 and fan.complete
+        (cone,) = fan.cones
+        assert cone.inside_gr and cone.positive_rep.is_positive()
 
     def test_sl2_single_cone(self):
         fan = enumerate_fan(SL2, [SL2.y(1) * SL2.y(3) - SL2.y(2)])
@@ -427,6 +450,18 @@ class TestFanComputesEachBasisOnce:
         assert len(segs) >= 2
         assert len(set(weighted_calls)) == len(weighted_calls)
 
+    # before facet crossings stopped searching for a positive weight at
+    # nonnegative facet points, these fans made 4, 24, 14 and 67; the
+    # parabola's facet point is positive, so it has nothing to save
+    @pytest.mark.parametrize(
+        "name, count",
+        [("parabola", 4), ("example_b", 20), ("three_cone", 11), ("a3_seeded", 54)],
+    )
+    def test_enumerate_fan_count(self, weighted_calls, name, count):
+        P, gens, seed = FANS[name]
+        enumerate_fan(P, gens, seed=seed)
+        assert len(weighted_calls) <= count
+
     @pytest.mark.parametrize("name", sorted(FANS))
     def test_each_interior_facet_crossed_once(self, monkeypatch, name):
         # one successful crossing per adjacent pair; crossing from both
@@ -445,6 +480,24 @@ class TestFanComputesEachBasisOnce:
         fan = enumerate_fan(P, gens, seed=seed)
         assert fan.complete and fan.adjacency
         assert len(crossings) == len(fan.adjacency)
+
+
+@pytest.mark.parametrize("name", sorted(FANS) + ["zero"])
+def test_inside_gr_is_a_certified_positive_rep(name):
+    P, gens, seed = FANS.get(name, (A2, [], None))
+    for cone in enumerate_fan(P, gens, seed=seed).cones:
+        assert cone.inside_gr == (cone.positive_rep is not None)
+        if cone.inside_gr:
+            assert cone.positive_rep.is_positive()
+            assert cone.contains(cone.positive_rep)
+
+
+def test_step_out_of_pr_raises(monkeypatch):
+    # the epsilon bound keeps every step inside PR(R); a step outside it
+    # would drop a facet from a fan still reported complete
+    monkeypatch.setattr(fan_module, "_epsilon_bound", lambda *args: Fraction(1000))
+    with pytest.raises(SkewGbError, match="left the polynomial region"):
+        enumerate_fan(A1, PARABOLA)
 
 
 def assert_interior_facets_shared(P, fan):
@@ -494,3 +547,22 @@ class TestInteriorFacetsShared:
     @settings(max_examples=25, deadline=None)
     def test_small_a1_fans(self, gens):
         assert_interior_facets_shared(A1, enumerate_fan(A1, gens))
+
+
+class TestEpsilonIdentity:
+    """in_{w + eps d}(I) = in_d(in_w(I)) below the threshold, on random
+    A1 ideals at nonnegative and mixed-sign integral weights of PR(A1)."""
+
+    @given(
+        small_a1_ideals(),
+        st.tuples(st.integers(-3, 4), st.integers(-3, 4)).filter(lambda t: sum(t) > 0),
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    )
+    # some mixed-sign draws take tens of seconds in buchberger, so fewer
+    # examples than the fan tests draw
+    @settings(max_examples=10, deadline=None)
+    def test_small_a1_ideals(self, gens, w_entries, d_entries):
+        w, d = _w(A1, w_entries), _w(A1, d_entries)
+        eps0 = epsilon_threshold(A1, gens, w, d)
+        assert eps0 > 0
+        assert epsilon_identity_holds(A1, gens, w, d, eps0)

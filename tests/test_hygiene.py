@@ -184,11 +184,46 @@ ROUTE = {
 }
 
 
-def test_single_route_from_weight_to_initial_ideal():
-    names = {name for name, _module, _scope in ROUTE}
-    sites = {
+def routes(names):
+    """(called name, module, scope) of every call of one of ``names``."""
+    return {
         (name, path.name, scope)
         for path in ALL_MODULES
         for name, scope in call_sites(path.read_text(encoding="utf-8"), names)
     }
-    assert sites == ROUTE
+
+
+def test_single_route_from_weight_to_initial_ideal():
+    assert routes({name for name, _module, _scope in ROUTE}) == ROUTE
+
+
+# the fan searches a class for a certified positive weight only where a
+# cone is reported, GR membership is asked, or a marked basis at a weight
+# with a negative entry needs it; it steps off a weight by the epsilon
+# bound only in one helper, in walks and in the public threshold
+FAN_ROUTE = {
+    ("_positive_rep", "fan.py", "_cone"),
+    ("_positive_rep", "fan.py", "gr_region_contains"),
+    ("_positive_rep", "fan.py", "_marked_basis"),
+    ("_epsilon_bound", "fan.py", "_step"),
+    ("_epsilon_bound", "fan.py", "walk"),
+    ("_epsilon_bound", "fan.py", "epsilon_threshold"),
+}
+
+
+def test_fan_helper_routes():
+    assert routes({name for name, _module, _scope in FAN_ROUTE}) == FAN_ROUTE
+
+
+def test_bundled_basis_and_certificate_helpers_are_gone():
+    # one helper returned the basis and the certificate together, so
+    # callers that needed only the basis paid for the certificate
+    gone = {"_reduced_marked_basis", "_class_has_positive"}
+    assert routes(gone) == set()
+    defined = {
+        node.name
+        for path in ALL_MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert not gone & defined
