@@ -273,14 +273,16 @@ def epsilon_threshold(
     w: WeightVector,
     w_prime: WeightVector,
 ) -> Fraction:
-    """The largest eps0, capped at 1, such that for all 0 < eps < eps0
-    the perturbed weight w + eps*w' stays in the polynomial region and
-    satisfies in_{w + eps w'}(I) = in_{w'}(in_w(I)).
+    """The largest eps0 such that for all 0 < eps < eps0 the perturbed
+    weight w + eps*w' stays in the polynomial region and satisfies
+    in_{w + eps w'}(I) = in_{w'}(in_w(I)).
 
-    Below the cap the bound is exact, read off from exponent differences
-    on the marked reduced basis at w; walks and facet crossings step by
-    the same rule.  When nothing limits the direction (every eps > 0
-    works) the result is 1.
+    When the direction is bounded the result is that exact bound, read
+    off from exponent differences on the marked reduced basis at w, even
+    when it exceeds 1: the A1 parabola y1^2 - x1 at (0, 3) with
+    w' = (1, -1) gives 2.  Walks and facet crossings step by the same
+    rule.  Only when nothing limits the direction (every eps > 0 works)
+    is the result 1.
     """
     w_prime.check(P)
     if not pr_contains(P, w):

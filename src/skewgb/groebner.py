@@ -7,8 +7,13 @@ with negative entries gives a non-term order, which is never iterated
 directly; instead the generators are homogenized, the completion runs
 on the Rees ring under a strictly positive shifted weight that induces
 the same initial forms on homogeneous input, and the result is
-dehomogenized.  Every completion is bounded by a pair budget and a
-reduction-step budget and raises ``BudgetExceeded`` rather than
+dehomogenized.  Every completion goes through ``buchberger``, which
+skips S-pairs by the Gebauer-Moller criteria B, M and F (sound in
+these rings of solvable type, since they rest only on the chain
+criterion) and by Buchberger's coprime criterion only when the ring
+is commutative; the reduced basis is unique, so the criteria change
+only how many pairs are reduced.  Every completion is bounded by a pair
+budget and a reduction-step budget and raises ``BudgetExceeded`` rather than
 returning a truncated answer.  The budgets are the explicit
 ``max_pairs`` / ``max_steps`` arguments of ``buchberger`` and
 ``normal_form`` when given, else the ``SKEWGB_MAX_PAIRS`` / ``SKEWGB_MAX_STEPS`` environment
@@ -229,8 +234,25 @@ def buchberger(
     Requires a validated multiplicative term order; a mixed-sign weight
     is handled by ``groebner_wrt_weight``, which runs this completion on
     a Rees ring under a strictly positive shifted weight.  A pair budget
-    guards the computation.  The coprime-lcm criterion is applied only
-    in the commutative case, where it is sound.
+    guards the computation.
+
+    Pairs are kept by the Gebauer-Moller update (Gebauer & Moller, JSC
+    1988): when h joins the basis, (B) a pending pair (i, j) is dropped
+    when lead(h) divides its lcm L and neither lcm(lead_i, lead_h) nor
+    lcm(lead_j, lead_h) equals L; (M) a new pair (k, h) is dropped when
+    the lcm of another new pair strictly divides its lcm; (F) of the new
+    pairs sharing one lcm only the first is kept.  All three rest on the
+    chain criterion: if lead(h) divides L, the S-polynomial of (i, j)
+    is a combination of the S-polynomials of (i, h) and (h, j), each
+    left-multiplied by the monomial completing its lcm to L, and of left
+    multiples of the three elements with leading monomials below L; so
+    once (i, h) and (h, j) are dealt with, (i, j) has a representation
+    below L and needs no reduction.  That uses only lead(t * f) =
+    t + lead(f) with a nonzero coefficient, which (M1)/(M2) give, so it
+    holds in these rings of solvable type (Kandri-Rody & Weispfenning,
+    JSC 1990).  Buchberger's coprime criterion needs commutativity; it
+    is applied, within the F step as Gebauer and Moller do, only when
+    the ring is commutative.
     """
     if not order.is_term_order:
         raise SkewGbError(f"buchberger requires a term order, not {order!r}")
@@ -246,21 +268,40 @@ def buchberger(
         lead.append(order.leading_monomial(g))
     commutative = P.is_commutative
     key = order.key
-    # normal selection: smallest lcm first, ties to the smaller indices
-    pairs: List = []
+    # pending pairs (i, j) -> lcm; the heap gives normal selection,
+    # smallest lcm first, ties to the smaller indices, and its entries
+    # for pairs no longer pending are skipped when popped
+    pending: Dict[Tuple[int, int], tuple] = {}
+    heap: List = []
 
-    def add_pairs(new: int):
-        for k in range(new):
-            lcm = _exp_lcm(lead[k], lead[new])
-            heapq.heappush(pairs, (key(lcm), k, new, lcm))
+    def update(h: int):
+        lh = lead[h]
+        for (i, j), lcm in list(pending.items()):
+            if (
+                _divides(lh, lcm)
+                and _exp_lcm(lead[i], lh) != lcm
+                and _exp_lcm(lead[j], lh) != lcm
+            ):
+                del pending[(i, j)]  # B
+        first: Dict[tuple, Tuple[int, bool]] = {}  # lcm -> (k, coprime seen)
+        for k in range(h):
+            lcm = _exp_lcm(lead[k], lh)
+            coprime = commutative and lcm == _exp_add(lead[k], lh)
+            k0, seen = first.get(lcm, (k, False))
+            first[lcm] = (k0, seen or coprime)  # F
+        for lcm, (k, coprime) in first.items():
+            if coprime or any(o != lcm and _divides(o, lcm) for o in first):
+                continue  # coprime criterion, M
+            pending[(k, h)] = lcm
+            heapq.heappush(heap, (key(lcm), k, h, lcm))
 
     for j in range(len(basis)):
-        add_pairs(j)
+        update(j)
     processed = 0
-    while pairs:
-        _k, i, j, lcm = heapq.heappop(pairs)
-        if commutative and lcm == _exp_add(lead[i], lead[j]):
-            continue  # Buchberger's coprime criterion
+    while heap:
+        _k, i, j, lcm = heapq.heappop(heap)
+        if pending.pop((i, j), None) is None:
+            continue
         processed += 1
         if processed > pair_limit:
             raise BudgetExceeded("s-pair", pair_limit)
@@ -273,7 +314,7 @@ def buchberger(
         r = _monic(r, order)
         basis.append(r)
         lead.append(order.leading_monomial(r))
-        add_pairs(len(basis) - 1)
+        update(len(basis) - 1)
     # auto-reduction to the reduced basis
     changed = True
     while changed:

@@ -10,13 +10,15 @@ ring by mutual normal-form membership, the reference the canonical
 initial-ideal lists are checked against.  ``initial_monomial_ideal_comm``
 completes a commutative ideal afresh under grevlex and returns its
 initial monomial ideal, the reference for the monomial ideals the
-characteristic-variety reports read off.  The oracles work through the
-public API only.
+characteristic-variety reports read off.  ``buchberger_all_pairs`` is
+the plain Buchberger algorithm, every S-pair reduced and no criterion
+applied, the reference for the pair criteria of ``buchberger``.  The
+oracles work through the public API only.
 """
 
 from fractions import Fraction
 
-from skewgb import MonomialOrder, buchberger, normal_form
+from skewgb import MonomialOrder, buchberger, multiply, normal_form
 
 
 def expand_tokens(m, xexp, yexp):
@@ -138,3 +140,51 @@ def ideals_equal_comm(S, gens_a, gens_b):
     return all(ideal_member_comm(S, f, gb_b) for f in gens_a) and all(
         ideal_member_comm(S, f, gb_a) for f in gens_b
     )
+
+
+def buchberger_all_pairs(P, gens, order):
+    """The reduced Groebner basis of the left ideal of gens, sorted by
+    leading monomial, by the plain algorithm: every S-pair of the growing
+    basis is reduced, none is skipped by a criterion, and the result is
+    made minimal and then tail-reduced."""
+    lead = order.leading_monomial
+
+    def monic(f):
+        return f.scale(1 / f.coefficient(lead(f)))
+
+    def lifted(f, target):
+        """The monomial of exponent target - lead(f) times f, made monic."""
+        (la, lb), (ta, tb) = lead(f), target
+        a = tuple(t - s for t, s in zip(ta, la))
+        b = tuple(t - s for t, s in zip(tb, lb))
+        return monic(multiply(P, P.monomial(a, b), f))
+
+    def divides(d, e):
+        return all(x <= y for x, y in zip(d[0] + d[1], e[0] + e[1]))
+
+    basis = [monic(g) for g in gens if not g.is_zero()]
+
+    def lcm(i, j):
+        (fa, fb), (ga, gb) = lead(basis[i]), lead(basis[j])
+        return tuple(map(max, fa, ga)), tuple(map(max, fb, gb))
+
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        # smallest lcm first keeps the intermediate basis small
+        i, j = min(pairs, key=lambda p: order.key(lcm(*p)))
+        pairs.remove((i, j))
+        s = lifted(basis[i], lcm(i, j)) - lifted(basis[j], lcm(i, j))
+        r = normal_form(P, s, basis, order)
+        if not r.is_zero():
+            basis.append(monic(r))
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    minimal = []
+    for g in basis:
+        if not any(divides(lead(h), lead(g)) for h in minimal):
+            minimal = [h for h in minimal if not divides(lead(g), lead(h))] + [g]
+    reduced = []
+    for g in minimal:
+        top = P.monomial(*lead(g))
+        others = [h for h in minimal if h is not g]
+        reduced.append(top + normal_form(P, g - top, others, order))
+    return sorted(reduced, key=lambda g: order.key(lead(g)))

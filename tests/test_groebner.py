@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from skewgb import (
@@ -18,19 +18,24 @@ from skewgb import (
     buchberger,
     commutative_presentation,
     groebner_wrt_weight,
+    homogenize,
     initial_ideal_weight,
     multiply,
     normal_form,
+    parse_expression,
     pr_contains,
+    rees_presentation,
     sl2_presentation,
     universal_gb,
+    validate_order,
     weyl_presentation,
 )
 from skewgb import groebner
 from skewgb.ring import SkewPoly
 
 from corpus import CORPUS
-from oracle import ideal_member_comm, ideals_equal_comm
+from oracle import buchberger_all_pairs, ideal_member_comm, ideals_equal_comm
+from test_kernel import vector_fields
 
 A1 = weyl_presentation(1)
 A2 = weyl_presentation(2)
@@ -258,21 +263,28 @@ def _monomials_up_to(P, degree):
     return [(e[: P.m], e[P.m:]) for e in exps if sum(e) <= degree]
 
 
-@st.composite
-def small_weighted_ideals(draw):
-    """An ideal of 1-2 generators of degree <= 2 in A1, A2 or sl2 and a
-    positive integer weight in the polynomial region."""
-    P = SMALL_RINGS[draw(st.sampled_from(sorted(SMALL_RINGS)))]
-    monos = _monomials_up_to(P, 2)
+def _draw_gens(draw, P, degree, terms, count):
+    """1 to ``count`` generators, each of at most ``terms`` terms of
+    degree <= ``degree`` with nonzero integer coefficients in [-3, 3]."""
+    monos = _monomials_up_to(P, degree)
     gens = []
-    for _ in range(draw(st.integers(1, 2))):
-        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+    for _ in range(draw(st.integers(1, count))):
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=terms, unique=True))
         coeffs = draw(
             st.lists(
                 st.integers(-3, 3).filter(bool), min_size=len(support), max_size=len(support)
             )
         )
         gens.append(SkewPoly(P, {mono: Fraction(c) for mono, c in zip(support, coeffs)}))
+    return gens
+
+
+@st.composite
+def small_weighted_ideals(draw):
+    """An ideal of 1-2 generators of degree <= 2 in A1, A2 or sl2 and a
+    positive integer weight in the polynomial region."""
+    P = SMALL_RINGS[draw(st.sampled_from(sorted(SMALL_RINGS)))]
+    gens = _draw_gens(draw, P, 2, 3, 2)
     dim = P.m + P.n
     w = WeightVector.for_ring(P, draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim)))
     assume(pr_contains(P, w))
@@ -317,6 +329,90 @@ class TestWeightedBasisProperties:
                 sg = _left_shift(P, g, lg, lcm, order)
                 assert order.leading_monomial(sf) == order.leading_monomial(sg) == lcm
                 assert normal_form(P, sf - sg, basis, order).is_zero()
+
+
+# per ring: the largest generator degree and number of terms drawn; beyond
+# these the all-pairs oracle can take tens of seconds on one draw
+COMPLETION_RINGS = {
+    "A1": (A1, 3, 3),
+    "A2": (A2, 2, 2),
+    "sl2": (sl2_presentation(), 2, 2),
+    "comm": (commutative_presentation(3), 2, 3),
+    "vector_fields": (vector_fields(), 2, 2),
+}
+# Rees rings at mixed-sign weights: base ring, degree, terms, generators
+REES_BASES = {"A1": (A1, 2, 3, 2), "A2": (A2, 2, 2, 2), "sl2": (sl2_presentation(), 2, 2, 2)}
+
+
+@st.composite
+def completion_cases(draw):
+    """(ring, generators, term order): a small ideal of A1, A2, sl2, a
+    commutative ring or a custom presentation under grevlex or a positive
+    weight refinement of it, or the homogenized generators of a small
+    ideal on its Rees ring under the shifted order of a mixed-sign weight."""
+    name = draw(st.sampled_from(sorted(COMPLETION_RINGS) + ["rees"]))
+    if name == "rees":
+        P, degree, terms, count = REES_BASES[draw(st.sampled_from(sorted(REES_BASES)))]
+        dim = P.m + P.n
+        w = WeightVector.for_ring(P, draw(st.lists(st.integers(-3, 4), min_size=dim, max_size=dim)))
+        assume(not w.is_nonnegative() and pr_contains(P, w))
+        w_plus, shifted = groebner._rees_weight_order(P, w)
+        rz = rees_presentation(P, w_plus)
+        gens = [homogenize(P, w_plus, g, rz) for g in _draw_gens(draw, P, degree, terms, count)]
+        return rz.ring, gens, MonomialOrder("grevlex").refine(shifted)
+    P, degree, terms = COMPLETION_RINGS[name]
+    order = MonomialOrder("grevlex")
+    if draw(st.booleans()):
+        dim = P.m + P.n
+        w = draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim))
+        order = order.refine(WeightVector.for_ring(P, w))
+    assume(validate_order(P, order))
+    return P, _draw_gens(draw, P, degree, terms, 3), order
+
+
+def _case(P, gens, w=None):
+    order = MonomialOrder("grevlex")
+    if w is not None:
+        order = order.refine(WeightVector.for_ring(P, w))
+    return P, [parse_expression(P, g) for g in gens], order
+
+
+class TestPairCriteria:
+    """``buchberger`` skips S-pairs by the Gebauer-Moller criteria; its
+    reduced basis must be the one the plain all-pairs algorithm gives."""
+
+    # ideals on which a B step that drops (i, j) even when
+    # lcm(lead_i, lead_h) equals its lcm returns a wrong basis
+    @example(_case(A1, ["-3*x1^3", "3*x1*y1^2", "2*x1^2*y1 + x1*y1"], (1, 1)))
+    @example(_case(sl2_presentation(), ["-2*y3^2", "3*y1^2 - y2^2"]))
+    @example(
+        _case(
+            commutative_presentation(3),
+            ["x1*x2 - 2*x3^2 + 3*x3", "2*x2*x3", "-x1*x3 + 2*x2*x3 - 1"],
+            (1, 3, 1),
+        )
+    )
+    @given(completion_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_all_pairs_oracle(self, case):
+        P, gens, order = case
+        assert list(buchberger(P, gens, order).elements) == buchberger_all_pairs(P, gens, order)
+
+    @pytest.mark.parametrize(
+        "gens, w, budget",
+        [
+            # 1,378 pairs and 40 s without the pair criteria; 83 pairs with them
+            (["x1*x2 - x2*y2 + y1", "-x1*y2 + 2*y1^2 + 1"], (1, 0, 3, 1), 150),
+            # 4,950 pairs and 27 s without the pair criteria; 326 with them
+            (["3*y1^2 + y1*y2 - 2*x2", "-3*x1*y2 + x2"], (-3, -2, 5, 4), 500),
+        ],
+    )
+    def test_slow_unit_ideals_fit_a_pair_budget(self, gens, w, budget, monkeypatch):
+        monkeypatch.setenv("SKEWGB_MAX_PAIRS", str(budget))
+        basis, _order = groebner_wrt_weight(
+            A2, [parse_expression(A2, g) for g in gens], WeightVector.for_ring(A2, w)
+        )
+        assert basis == [A2.one()]
 
 
 class TestCanonicalInitialIdeal:
