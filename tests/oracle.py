@@ -173,7 +173,8 @@ def buchberger_all_pairs(P, gens, order):
         # smallest lcm first keeps the intermediate basis small
         i, j = min(pairs, key=lambda p: order.key(lcm(*p)))
         pairs.remove((i, j))
-        s = lifted(basis[i], lcm(i, j)) - lifted(basis[j], lcm(i, j))
+        top = lcm(i, j)
+        s = lifted(basis[i], top) - lifted(basis[j], top)
         r = normal_form(P, s, basis, order)
         if not r.is_zero():
             basis.append(monic(r))
