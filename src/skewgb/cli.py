@@ -2,9 +2,10 @@
 
 Subcommands: gb, charvar, fan, walk, pr, gkdim, universal, verify.
 Problem files use the stanza format documented in docs/format.md.
-Exit codes: 0 success, 2 parse error, 3 region error, 4 budget
-exceeded, 1 anything else.  Budgets can be overridden through the
-SKEWGB_MAX_PAIRS / SKEWGB_MAX_STEPS environment variables.
+Exit codes: 0 success, 2 parse error (a missing weight included), 3
+region error, 4 budget exceeded, 1 anything else.  Budgets can be
+overridden through the SKEWGB_MAX_PAIRS / SKEWGB_MAX_STEPS environment
+variables.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def cmd_charvar(args) -> int:
     problem = parse_problem_file(args.file)
     w = _weight_flag(problem, args.weight)
     if w is None:
-        raise RegionError("charvar requires a weight (file stanza or --weight)")
+        raise ParseError("charvar requires a weight (file stanza or --weight)")
     report = verify_component_bound(
         problem.ring, problem.generators, w, bound=args.bound
     )
@@ -97,7 +98,7 @@ def cmd_walk(args) -> int:
     elif len(problem.weights) >= 2:
         w_from, w_to = problem.weights[0], problem.weights[1]
     else:
-        raise RegionError("walk requires --from/--to or two weight stanzas")
+        raise ParseError("walk requires --from/--to or two weight stanzas")
     segments = walk(problem.ring, problem.generators, w_from, w_to)
     lines = []
     payload = []
@@ -127,7 +128,7 @@ def cmd_gkdim(args) -> int:
     problem = parse_problem_file(args.file)
     w = _weight_flag(problem, args.weight)
     if w is None:
-        raise RegionError("gkdim requires a weight (file stanza or --weight)")
+        raise ParseError("gkdim requires a weight (file stanza or --weight)")
     value = gk_dim(problem.ring, problem.generators, w)
     text = "-inf" if value == float("-inf") else str(value)
     _emit(args, {"gkdim": None if text == "-inf" else value}, text)

@@ -13,6 +13,7 @@ the union of its marker bases is a universal Groebner basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul, sub
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceeded, RegionError, SkewGbError
@@ -32,17 +33,17 @@ from .weights import (
 _MAX_CONES = 512
 
 
-def _mono_vec(mono) -> Tuple[Fraction, ...]:
+def _mono_vec(mono) -> Tuple[int, ...]:
     a, b = mono
-    return tuple(Fraction(e) for e in a + b)
+    return a + b
 
 
-def _diff(e, f) -> Tuple[Fraction, ...]:
-    return tuple(x - y for x, y in zip(_mono_vec(e), _mono_vec(f)))
+def _diff(e, f) -> Tuple[int, ...]:
+    return tuple(map(sub, _mono_vec(e), _mono_vec(f)))
 
 
-def _canonical_eq(form) -> Tuple[Fraction, ...]:
-    form = _normalize_form(tuple(form))
+def _canonical_eq(form) -> Tuple[int, ...]:
+    form = _normalize_form(form)
     lead = next((x for x in form if x), None)
     if lead is not None and lead < 0:
         form = tuple(-x for x in form)
@@ -54,11 +55,12 @@ class GroebnerCone:
 
     ``equalities`` hold with value 0 on the cone and ``strict`` forms are
     positive; both are normalized exponent-difference forms in the m + n
-    weight coordinates.  ``basis`` is the marked Groebner basis that cut
-    the cone out and ``initial_gens`` the canonical generators of the
-    shared initial ideal.  ``positive_rep`` is a positive weight of the
-    class, certified by its initial ideal, or None when none was found;
-    ``inside_gr`` is derived from it.
+    weight coordinates, integer tuples of content 1 (they compare and
+    hash equal to the same tuples of ``Fraction``s).  ``basis`` is the
+    marked Groebner basis that cut the cone out and ``initial_gens`` the
+    canonical generators of the shared initial ideal.  ``positive_rep``
+    is a positive weight of the class, certified by its initial ideal, or
+    None when none was found; ``inside_gr`` is derived from it.
     """
 
     __slots__ = (
@@ -104,12 +106,13 @@ class GroebnerCone:
 
     def contains(self, w: WeightVector, closure: bool = False) -> bool:
         w.check(self.ring)
-        entries = w.entries
+        # the integer view is a positive multiple of w: same signs
+        ints = w.ints
         for form in self.equalities:
-            if sum(c * x for c, x in zip(form, entries)) != 0:
+            if sum(map(mul, form, ints)) != 0:
                 return False
         for form in self.strict:
-            val = sum(c * x for c, x in zip(form, entries))
+            val = sum(map(mul, form, ints))
             if val < 0 or (val == 0 and not closure):
                 return False
         return True
@@ -136,8 +139,9 @@ class GroebnerCone:
 
 
 def _top_split(g: SkewPoly, w: WeightVector):
-    """Terms of g at its top w-degree, the terms below, and all w-degrees."""
-    dots = {key: w.dot(key) for key in g.terms}
+    """Terms of g at its top w-degree, the terms below, and all w-degrees
+    as ``w.scaled_dot`` ints (w.den times the degree)."""
+    dots = {key: w.scaled_dot(key) for key in g.terms}
     top = max(dots.values())
     winners = [key for key in g.terms if dots[key] == top]
     rest = [key for key in g.terms if dots[key] != top]
@@ -174,10 +178,7 @@ def _positive_rep(bases: _Bases, w: WeightVector, forms=None) -> Optional[Weight
     dim = P.m + P.n
     basis, init = bases.at(w)
     equalities, strict = forms or _cone_forms(P, basis, w)
-    coord = [
-        tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))
-        for i in range(dim)
-    ]
+    coord = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
     point = find_point(dim, equalities, (), list(strict) + coord)
     if point is None:
         return None
@@ -218,8 +219,11 @@ def _cone(bases: _Bases, w: WeightVector) -> GroebnerCone:
         forms = _cone_forms(P, basis, w_int)
     equalities, strict = forms
     eqs = sorted(set(equalities))
-    # irredundant_strict prunes in input order, so give it a canonical one
-    stricts = irredundant_strict(P.m + P.n, eqs, sorted(set(strict)))
+    # irredundant_strict prunes in input order, so give it a canonical one;
+    # it returns Fraction forms, so keep the int forms it kept
+    stricts = sorted(set(strict))
+    kept = set(irredundant_strict(P.m + P.n, eqs, stricts))
+    stricts = [form for form in stricts if form in kept]
     return GroebnerCone(P, w_int, eqs, stricts, basis, init, rep)
 
 
@@ -248,23 +252,28 @@ def gr_region_contains(
 
 def _epsilon_bound(P: RingPresentation, basis, w: WeightVector, w_prime) -> Fraction:
     """The eps0 of ``epsilon_threshold`` read off a marked basis at w."""
+    # every drop and val is w.den times its value and every rise and
+    # slope w_prime.den times its own, so each ratio below is the bound
+    # times w.den / w_prime.den
     bounds: List[Fraction] = []
     for g in basis:
         winners, rest, dots = _top_split(g, w)
-        ptop = max(w_prime.dot(key) for key in winners)
-        new_winners = [key for key in winners if w_prime.dot(key) == ptop]
+        pdots = {key: w_prime.scaled_dot(key) for key in g.terms}
+        ptop = max(pdots[key] for key in winners)
+        new_winners = [key for key in winners if pdots[key] == ptop]
         for e in new_winners:
             for f in rest:
-                drop = dots[e] - dots[f]
-                rise = w_prime.dot(f) - w_prime.dot(e)
+                rise = pdots[f] - pdots[e]
                 if rise > 0:
-                    bounds.append(drop / rise)
+                    bounds.append(Fraction(dots[e] - dots[f], rise))
+    ints, pints = w.ints, w_prime.ints
     for form in pr_halfspaces(P).strict:
-        val = sum(c * x for c, x in zip(form, w.entries))
-        slope = sum(c * x for c, x in zip(form, w_prime.entries))
+        slope = sum(map(mul, form, pints))
         if slope < 0:
-            bounds.append(val / -slope)
-    return min(bounds) if bounds else Fraction(1)
+            bounds.append(Fraction(sum(map(mul, form, ints)), -slope))
+    if not bounds:
+        return Fraction(1)
+    return min(bounds) * Fraction(w_prime.den, w.den)
 
 
 def epsilon_threshold(
@@ -334,6 +343,7 @@ def walk(
         if not pr_contains(P, w):
             raise RegionError(f"walk endpoint {w} not in the polynomial region")
     direction = w_end - w_start
+    ints_s, ints_e = w_start.ints, w_end.ints
     segments: List[WalkSegment] = []
     t_enter = Fraction(0)
     w_here = w_start
@@ -354,15 +364,15 @@ def walk(
             raise SkewGbError(f"walk stepped past a cone after t={t_enter}")
         # exit parameter: first root of a strict form along the segment
         t_exit = Fraction(1)
-        entries_s = w_start.entries
-        entries_e = w_end.entries
         for form in cone.strict:
-            vs = sum(c * x for c, x in zip(form, entries_s))
-            ve = sum(c * x for c, x in zip(form, entries_e))
+            # the form's values at both ends, over the common
+            # denominator w_start.den * w_end.den
+            vs = sum(map(mul, form, ints_s)) * w_end.den
+            ve = sum(map(mul, form, ints_e)) * w_start.den
             if ve >= vs:
                 continue
             # value (1-t)vs + t*ve decreases; root at vs/(vs-ve)
-            root = vs / (vs - ve)
+            root = Fraction(vs, vs - ve)
             if t_enter < root < t_exit:
                 t_exit = root
         segments.append(WalkSegment(t_enter, t_exit, cone))

@@ -36,7 +36,6 @@ from .rees import dehomogenize, homogenize, rees_presentation, strip_x0
 from .ring import RingPresentation, SkewPoly
 from .weights import (
     WeightVector,
-    denominator_lcm,
     initial_form,
     pr_contains,
     pr_sample_positive,
@@ -342,7 +341,8 @@ def initial_ideal_order(
 
 
 def _integral_scale(w: WeightVector) -> WeightVector:
-    return w.scale(denominator_lcm(w.entries))
+    """w times the lcm of its denominators: its integer view as a weight."""
+    return w if w.den == 1 else WeightVector(w.iu, w.iv)
 
 
 def _rees_weight_order(
@@ -358,12 +358,9 @@ def _rees_weight_order(
     forms while its refinement of a term order is again a term order.
     """
     w_plus = pr_sample_positive(P)
-    wt = (Fraction(0),) + w_int.entries
-    d = (Fraction(1),) + w_plus.entries
-    lam = max(
-        [Fraction(0)]
-        + [Fraction(math.ceil((1 - wi) / di)) for wi, di in zip(wt, d)]
-    )
+    wt = (0,) + w_int.ints
+    d = (1,) + w_plus.ints
+    lam = max([0] + [math.ceil(Fraction(1 - wi, di)) for wi, di in zip(wt, d)])
     shifted_entries = [wi + lam * di for wi, di in zip(wt, d)]
     shifted = WeightVector(shifted_entries[: P.m + 1], shifted_entries[P.m + 1:])
     return w_plus, shifted

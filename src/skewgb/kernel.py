@@ -22,9 +22,8 @@ Precondition: the tables must pass ``ring.validate_presentation``.  Every
 step above is a rewrite by a relation, so for consistent tables the
 result is the unique standard expression (Bergman's diamond lemma).  For
 inconsistent tables it is one of several possible results.
-``RingPresentation`` does not check this for tables built in the library;
-problem files with inconsistent ``custom`` tables are refused by the
-parser.
+``RingPresentation`` refuses inconsistent tables on construction, and
+the parser refuses problem files with inconsistent ``custom`` tables.
 """
 
 from fractions import Fraction

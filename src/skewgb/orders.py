@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import SkewGbError
 from .ring import RingPresentation, SkewPoly
-from .weights import WeightVector, denominator_lcm
+from .weights import WeightVector
 
 KINDS = ("lex", "grlex", "grevlex")
 
@@ -23,8 +23,8 @@ KINDS = ("lex", "grlex", "grevlex")
 class MonomialOrder:
     """Base term order + optional weight refinement.
 
-    The weight is scaled once, at construction, by the lcm of its
-    denominators to plain ints (a positive scale keeps every
+    The weight is compared through its integer view (its entries times
+    the lcm of their denominators; a positive scale keeps every
     comparison).  Keys are memoised per order; the memo is not part of
     equality and lives as long as the order does.
     """
@@ -39,9 +39,7 @@ class MonomialOrder:
         if weight is None:
             self._u = self._v = None
         else:
-            scale = denominator_lcm(weight.entries)
-            self._u = tuple((x * scale).numerator for x in weight.u)
-            self._v = tuple((x * scale).numerator for x in weight.v)
+            self._u, self._v = weight.iu, weight.iv
         self._memo = {}
 
     # -- derived orders ------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import RegionError, SkewGbError
 from .ring import RingPresentation, SkewPoly
-from .weights import WeightVector, pr_contains, weight_degree
+from .weights import WeightVector, pr_contains
 
 
 class ReesPresentation:
@@ -51,11 +51,11 @@ def _check_weight(P: RingPresentation, w: WeightVector):
         raise RegionError(f"weight {w} is not in the polynomial region of {P.name}")
 
 
-def _x0_power(e0: Fraction) -> int:
+def _x0_power(e0: int) -> int:
     """An x0 exponent, a natural number whenever ``_check_weight`` passed."""
-    if e0 < 0 or e0.denominator != 1:
+    if e0 < 0:
         raise SkewGbError(f"homogenized relation term has x0 exponent {e0}")
-    return int(e0)
+    return e0
 
 
 def rees_presentation(P: RingPresentation, w: WeightVector) -> ReesPresentation:
@@ -66,6 +66,7 @@ def rees_presentation(P: RingPresentation, w: WeightVector) -> ReesPresentation:
     degree of its left-hand side.
     """
     _check_weight(P, w)
+    # w is integral, so its integer view holds its entries
     m, n = P.m, P.n
     q1 = {}
     for i in range(1, n + 1):
@@ -73,10 +74,10 @@ def rees_presentation(P: RingPresentation, w: WeightVector) -> ReesPresentation:
             entry = P.q1_entry(i, j)
             if entry.is_zero():
                 continue
-            lhs_deg = w.u[j - 1] + w.v[i - 1]
+            lhs_deg = w.iu[j - 1] + w.iv[i - 1]
             table = {}
             for (a, _b), c in entry.terms.items():
-                e0 = _x0_power(lhs_deg - w.dot((a, (0,) * n)))
+                e0 = _x0_power(lhs_deg - w.scaled_dot((a, (0,) * n)))
                 table[(e0,) + a] = c
             q1[(i, j + 1)] = table
     q2 = {}
@@ -84,13 +85,13 @@ def rees_presentation(P: RingPresentation, w: WeightVector) -> ReesPresentation:
         entry = P.q2_entry(i, j)
         if entry.is_zero():
             continue
-        lhs_deg = w.v[i - 1] + w.v[j - 1]
+        lhs_deg = w.iv[i - 1] + w.iv[j - 1]
         table = {}
         for (a, b), c in entry.terms.items():
-            e0 = _x0_power(lhs_deg - w.dot((a, b)))
+            e0 = _x0_power(lhs_deg - w.scaled_dot((a, b)))
             table[((e0,) + a, b)] = c
         q2[(i, j)] = table
-    ring = RingPresentation(m + 1, n, q1=q1, q2=q2, name=f"rees({P.name})")
+    ring = RingPresentation._unchecked(m + 1, n, q1=q1, q2=q2, name=f"rees({P.name})")
     # display x0 with its own name; remaining variables keep theirs
     ring.var_names = ("x0",) + P.var_names
     return ReesPresentation(P, w, ring)
@@ -104,12 +105,12 @@ def homogenize(P: RingPresentation, w: WeightVector, f: SkewPoly, rees: ReesPres
         _check_weight(P, w)
     if f.is_zero():
         raise RegionError("cannot homogenize the zero polynomial")
-    top = weight_degree(f, w)
-    terms = {}
-    for (a, b), c in f.terms.items():
-        e0 = top - w.dot((a, b))
-        terms[((int(e0),) + a, b)] = c
-    return SkewPoly(rees.ring, terms)
+    # w is integral (checked above), so scaled_dot is the exact degree
+    degs = {key: w.scaled_dot(key) for key in f.terms}
+    top = max(degs.values())
+    return SkewPoly(
+        rees.ring, {((top - degs[(a, b)],) + a, b): c for (a, b), c in f.terms.items()}
+    )
 
 
 def dehomogenize(f: SkewPoly, base: RingPresentation) -> SkewPoly:

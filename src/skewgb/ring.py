@@ -63,7 +63,9 @@ class RingPresentation:
     given as {x_exponent_tuple: coefficient}; ``q2`` maps (i, j) with
     1 <= i, j <= n to a polynomial of y-degree at most one given as
     {(x_exponent_tuple, y_exponent_tuple): coefficient}.  Missing (j, i)
-    entries are filled in antisymmetrically.
+    entries are filled in antisymmetrically.  Tables that fail
+    ``validate_presentation`` define no ring and raise
+    ``PresentationError``.
     """
 
     __slots__ = (
@@ -79,6 +81,27 @@ class RingPresentation:
     )
 
     def __init__(self, m: int, n: int, q1=None, q2=None, name: str = "custom"):
+        self._setup(m, n, q1, q2, name)
+        # tables of commuting generators are associative: nothing to check
+        if not self.is_commutative:
+            valid = validate_presentation(self)
+            self._kernel = None  # the check's products leave no cache behind
+            if not valid:
+                raise PresentationError(
+                    "relation tables give a non-associative product "
+                    "(validate_presentation fails)"
+                )
+
+    @classmethod
+    def _unchecked(cls, m: int, n: int, q1=None, q2=None, name: str = "custom"):
+        """A presentation built without the associativity check, for tables
+        valid by construction (the shipped rings, Rees rings) or checked by
+        the caller (the problem-file parser, which reports a parse error)."""
+        P = cls.__new__(cls)
+        P._setup(m, n, q1, q2, name)
+        return P
+
+    def _setup(self, m: int, n: int, q1, q2, name: str):
         if m < 0 or n < 0:
             raise PresentationError("generator counts must be nonnegative")
         self.m = m
@@ -332,7 +355,7 @@ def weyl_presentation(n: int) -> RingPresentation:
     if n < 1:
         raise PresentationError("weyl_presentation requires n >= 1")
     q1 = {(i, i): {(0,) * n: 1} for i in range(1, n + 1)}
-    return RingPresentation(n, n, q1=q1, name=f"weyl{n}")
+    return RingPresentation._unchecked(n, n, q1=q1, name=f"weyl{n}")
 
 
 def commutative_presentation(m: int, n: int = 0, name: str | None = None) -> RingPresentation:
@@ -352,7 +375,7 @@ def sl2_presentation() -> RingPresentation:
         (2, 1): {((), e3(0)): -2},
         (1, 3): {((), e3(1)): 1},
     }
-    return RingPresentation(0, 3, q2=q2, name="sl2")
+    return RingPresentation._unchecked(0, 3, q2=q2, name="sl2")
 
 
 # -- operations --------------------------------------------------------

@@ -5,12 +5,18 @@ increasing filtration on R.  The polynomial region PR(R) is the open
 convex polyhedral cone of weights whose associated graded ring is the
 commutative polynomial ring S; its defining half-spaces come straight
 from the relation tables.
+
+Weights are exact rationals, but every dot product and sign test runs
+on plain ints: each weight carries its entries times the lcm of their
+denominators, and a positive scale keeps every sign and comparison.
+Linear forms (half-spaces, cone forms) are integer tuples of content 1.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Tuple
 
 from .errors import RegionError, SkewGbError
@@ -24,13 +30,28 @@ def _frac(x) -> Fraction:
 
 
 class WeightVector:
-    """Exact rational weights (u, v) for the m + n generators."""
+    """Exact rational weights (u, v) for the m + n generators.
 
-    __slots__ = ("u", "v")
+    ``u`` and ``v`` hold the entries as ``Fraction``s.  The integer view,
+    computed once at construction, is ``den``, the lcm of the entries'
+    denominators, with ``iu`` and ``iv``, the entries times ``den`` as
+    ints (``ints`` is ``iu + iv``).  ``dot`` is exact: an int for an
+    integral weight, else a ``Fraction``; ``scaled_dot`` is ``den``
+    times it, an int with the same sign and order, for comparisons.
+    """
+
+    __slots__ = ("u", "v", "den", "iu", "iv")
 
     def __init__(self, u: Iterable, v: Iterable):
         self.u: Tuple[Fraction, ...] = tuple(_frac(x) for x in u)
         self.v: Tuple[Fraction, ...] = tuple(_frac(x) for x in v)
+        den = self.den = denominator_lcm(self.u + self.v)
+        self.iu: Tuple[int, ...] = tuple(
+            x.numerator * (den // x.denominator) for x in self.u
+        )
+        self.iv: Tuple[int, ...] = tuple(
+            x.numerator * (den // x.denominator) for x in self.v
+        )
 
     @classmethod
     def for_ring(cls, P: RingPresentation, entries: Sequence) -> "WeightVector":
@@ -44,6 +65,10 @@ class WeightVector:
     def entries(self) -> Tuple[Fraction, ...]:
         return self.u + self.v
 
+    @property
+    def ints(self) -> Tuple[int, ...]:
+        return self.iu + self.iv
+
     def matches(self, P: RingPresentation) -> bool:
         return len(self.u) == P.m and len(self.v) == P.n
 
@@ -54,11 +79,15 @@ class WeightVector:
                 f"presentation ({P.m},{P.n})"
             )
 
-    def dot(self, key) -> Fraction:
+    def scaled_dot(self, key) -> int:
+        """``den`` times u.a + v.b for the monomial key (a, b)."""
         a, b = key
-        return sum(ui * ai for ui, ai in zip(self.u, a)) + sum(
-            vi * bi for vi, bi in zip(self.v, b)
-        )
+        return sum(map(mul, self.iu, a)) + sum(map(mul, self.iv, b))
+
+    def dot(self, key):
+        """The exact u.a + v.b: an int when ``den`` is 1, else a Fraction."""
+        s = self.scaled_dot(key)
+        return s if self.den == 1 else Fraction(s, self.den)
 
     def ceil_dot(self, key) -> int:
         a, b = key
@@ -67,13 +96,13 @@ class WeightVector:
         )
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.entries)
+        return self.den == 1
 
     def is_positive(self) -> bool:
-        return all(x > 0 for x in self.entries)
+        return all(x > 0 for x in self.ints)
 
     def is_nonnegative(self) -> bool:
-        return all(x >= 0 for x in self.entries)
+        return all(x >= 0 for x in self.ints)
 
     def scale(self, r) -> "WeightVector":
         r = _frac(r)
@@ -107,29 +136,27 @@ def denominator_lcm(values: Iterable[Fraction]) -> int:
     return math.lcm(*(x.denominator for x in values))
 
 
-def _normalize_form(form: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
-    """Scale a linear form by a positive rational to integer content 1."""
-    if not any(form):
-        return form
-    denom_lcm = denominator_lcm(form)
-    scaled = [x * denom_lcm for x in form]
-    g = 0
-    for x in scaled:
-        g = math.gcd(g, int(x))
-    return tuple(Fraction(int(x) // g) for x in scaled)
+def _normalize_form(form: Sequence) -> Tuple[int, ...]:
+    """Scale a rational linear form by a positive rational to ints of
+    content 1; the zero form becomes a tuple of int zeros."""
+    den = denominator_lcm(form)
+    nums = [(x * den).numerator for x in form]
+    g = math.gcd(*nums)
+    return tuple(x // g for x in nums) if g > 1 else tuple(nums)
 
 
 class HalfspaceSystem:
-    """A finite list of strict linear inequalities L(u, v) > 0."""
+    """A finite list of strict linear inequalities L(u, v) > 0, each form
+    an integer tuple of content 1."""
 
     __slots__ = ("m", "n", "strict")
 
-    def __init__(self, m: int, n: int, strict: Iterable[Tuple[Fraction, ...]]):
+    def __init__(self, m: int, n: int, strict: Iterable[Sequence]):
         self.m = m
         self.n = n
         seen = []
         for form in strict:
-            form = _normalize_form(tuple(_frac(x) for x in form))
+            form = _normalize_form([_frac(x) for x in form])
             if len(form) != m + n:
                 raise SkewGbError("halfspace form has wrong length")
             if any(form) and form not in seen:
@@ -137,12 +164,10 @@ class HalfspaceSystem:
         self.strict = tuple(sorted(seen))
 
     def contains(self, w: WeightVector) -> bool:
-        entries = w.entries
-        if len(entries) != self.m + self.n:
+        ints = w.ints
+        if len(ints) != self.m + self.n:
             raise RegionError("weight dimension mismatch")
-        return all(
-            sum(c * x for c, x in zip(form, entries)) > 0 for form in self.strict
-        )
+        return all(sum(map(mul, form, ints)) > 0 for form in self.strict)
 
     def to_text(self) -> str:
         """Deterministic structured-text serialization, one inequality per line."""
@@ -188,9 +213,10 @@ def initial_form(P: RingPresentation, f: SkewPoly, w: WeightVector) -> SkewPoly:
     w.check(P)
     if f.is_zero():
         raise SkewGbError("initial form of the zero polynomial is undefined")
-    top = max(w.dot(key) for key in f.terms)
+    degs = {key: w.scaled_dot(key) for key in f.terms}
+    top = max(degs.values())
     S = P.graded()
-    return SkewPoly(S, {key: c for key, c in f.terms.items() if w.dot(key) == top})
+    return SkewPoly(S, {key: c for key, c in f.terms.items() if degs[key] == top})
 
 
 def pr_halfspaces(P: RingPresentation) -> HalfspaceSystem:
@@ -208,7 +234,7 @@ def pr_halfspaces(P: RingPresentation) -> HalfspaceSystem:
 def _build_pr_halfspaces(P: RingPresentation) -> HalfspaceSystem:
     m, n = P.m, P.n
     forms = []
-    zero = [Fraction(0)] * (m + n)
+    zero = [0] * (m + n)
 
     def uv_coeff(j=None, i=None):
         form = list(zero)

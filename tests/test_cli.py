@@ -158,6 +158,21 @@ class TestExitCodes:
             code, out, err = run(["walk", PARABOLA, *argv], capsys)
             assert code == 2 and out == "" and "--from and --to together" in err, argv
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("charvar", "", "charvar requires a weight"),
+            ("gkdim", "", "gkdim requires a weight"),
+            ("walk", "", "walk requires --from/--to or two weight stanzas"),
+            ("walk", "weight: 1,3\n", "walk requires --from/--to or two weight stanzas"),
+        ],
+    )
+    def test_missing_weight_is_a_usage_error(self, tmp_path, capsys, command, text, message):
+        f = tmp_path / "p.txt"
+        f.write_text("ring: weyl 1\nideal: y1^2 - x1\n" + text)
+        code, out, err = run([command, str(f)], capsys)
+        assert code == 2 and out == "" and f"parse error: {message}" in err
+
     def test_region_error(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
         f.write_text("ring: weyl 1\nideal: y1\nweight: -1,-1\n")

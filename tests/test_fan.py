@@ -197,7 +197,9 @@ class TestOneBasisPerWeight:
         # the basis at a nonnegative weight is already reduced: no search
         # for a positive weight of the class, which computed a second basis
         w, d = _w(A1, entries), _w(A1, [1, -1])
-        assert epsilon_threshold(A1, PARABOLA, w, d) == expected
+        eps0 = epsilon_threshold(A1, PARABOLA, w, d)
+        # exact: an int / int quotient would be a float equal to 1 or 2
+        assert eps0 == expected and type(eps0) is Fraction
         assert len(weighted_calls) == 1
         assert epsilon_identity_holds(A1, PARABOLA, w, d, expected)
 
@@ -223,6 +225,11 @@ class TestWalk:
         mid = _w(A1, [1, 3]).scale(1 - t) + _w(A1, [3, 1]).scale(t)
         u, v = mid.entries
         assert u == 2 * v
+
+    def test_walk_between_weights_of_different_denominators(self):
+        # (1-t)(1/2, 3/2) + t(3, 1) meets the wall u = 2v at t = 5/7
+        segs = walk(A1, PARABOLA, _w(A1, [Fraction(1, 2), Fraction(3, 2)]), _w(A1, [3, 1]))
+        assert _walls_and_ideals(segs) == ([Fraction(5, 7)], [["y1^2"], ["x1"]])
 
     def test_walk_within_one_cone(self):
         segs = walk(A1, PARABOLA, _w(A1, [1, 3]), _w(A1, [1, 2]))
@@ -287,6 +294,8 @@ def _walls_and_ideals(segs):
     assert segs[0].t_lo == 0 and segs[-1].t_hi == 1
     for a, b in zip(segs, segs[1:]):
         assert a.t_hi == b.t_lo
+    # breakpoints are exact: no float from an int / int quotient
+    assert all(type(t) is Fraction for s in segs for t in (s.t_lo, s.t_hi))
     return (
         [s.t_hi for s in segs[:-1]],
         [[str(h) for h in s.cone.initial_gens] for s in segs],
@@ -558,9 +567,7 @@ class TestEpsilonIdentity:
         st.tuples(st.integers(-3, 4), st.integers(-3, 4)).filter(lambda t: sum(t) > 0),
         st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
     )
-    # some mixed-sign draws take tens of seconds in buchberger, so fewer
-    # examples than the fan tests draw
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=25, deadline=None)
     def test_small_a1_ideals(self, gens, w_entries, d_entries):
         w, d = _w(A1, w_entries), _w(A1, d_entries)
         eps0 = epsilon_threshold(A1, gens, w, d)

@@ -66,16 +66,27 @@ class TestPresentations:
         assert validate_presentation(commutative_presentation(3))
 
     def test_validate_rejects_bad_q2(self):
-        # a non-antisymmetric Q2 pair is rejected
-        bad = RingPresentation(
-            0,
-            2,
-            q2={
-                (2, 1): {((), (1, 0)): 1},
-                (1, 2): {((), (1, 0)): 1},
-            },
-        )
-        assert not validate_presentation(bad)
+        # a non-antisymmetric Q2 pair is rejected, by the check and by the
+        # constructor, which runs it
+        q2 = {
+            (2, 1): {((), (1, 0)): 1},
+            (1, 2): {((), (1, 0)): 1},
+        }
+        assert not validate_presentation(RingPresentation._unchecked(0, 2, q2=q2))
+        with pytest.raises(PresentationError, match="non-associative"):
+            RingPresentation(0, 2, q2=q2)
+
+    def test_constructor_rejects_jacobi_breaking_tables(self):
+        # [y2, y1] = y3, [y3, y2] = y1, [y3, y1] = y1 break the Jacobi
+        # identity, so these antisymmetric tables define no ring
+        e3 = lambda k: ((), tuple(int(t == k) for t in range(3)))
+        q2 = {(2, 1): {e3(2): 1}, (3, 2): {e3(0): 1}, (3, 1): {e3(0): 1}}
+        assert not validate_presentation(RingPresentation._unchecked(0, 3, q2=q2))
+        with pytest.raises(PresentationError, match="non-associative"):
+            RingPresentation(0, 3, q2=q2)
+        # valid tables build, and the check leaves no kernel cache behind
+        q2[(3, 1)] = {e3(1): 1}
+        assert RingPresentation(0, 3, q2=q2)._kernel is None
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(PresentationError):

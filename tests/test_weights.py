@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skewgb import (
     RegionError,
@@ -43,6 +45,27 @@ class TestWeightVector:
         assert WeightVector.for_ring(A1, [0, 1]).is_nonnegative()
         assert WeightVector.for_ring(A1, [Fraction(1, 2), 1]).is_positive()
         assert not WeightVector.for_ring(A1, [Fraction(1, 2), 1]).is_integral()
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+            st.lists(
+                st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                min_size=4,
+                max_size=4,
+            ),
+        ),
+        st.lists(st.integers(0, 6), min_size=4, max_size=4),
+    )
+    def test_dot_is_the_exact_fraction_sum(self, entries, exps):
+        w = WeightVector.for_ring(A2, entries)
+        key = (tuple(exps[:2]), tuple(exps[2:]))
+        exact = sum(Fraction(x) * e for x, e in zip(entries, exps))
+        assert w.dot(key) == exact
+        assert type(w.dot(key)) is (int if w.is_integral() else Fraction)
+        assert w.scaled_dot(key) == exact * w.den
+        assert w.ints == tuple(Fraction(x) * w.den for x in entries)
+        assert all(type(x) is int for x in w.ints)
 
     def test_arithmetic(self):
         a = WeightVector.for_ring(A1, [1, 2])
