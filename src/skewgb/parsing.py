@@ -27,7 +27,6 @@ from .ring import (
     SkewPoly,
     commutative_presentation,
     sl2_presentation,
-    validate_presentation,
     weyl_presentation,
 )
 from .weights import WeightVector
@@ -319,10 +318,10 @@ def _build_custom(scratch, q1_specs, q2_specs) -> RingPresentation:
             if sum(b) > 1:
                 raise ParseError("q2 entries must have y-degree at most 1", lineno, 0)
         q2[(i, j)] = dict(poly.terms)
-    ring = RingPresentation._unchecked(m, n, q1=q1, q2=q2, name=f"custom({m},{n})")
-    if not validate_presentation(ring):
-        raise ParseError("custom relations give a non-associative product")
-    return ring
+    try:
+        return RingPresentation(m, n, q1=q1, q2=q2, name=f"custom({m},{n})")
+    except PresentationError as exc:
+        raise ParseError(str(exc))
 
 
 def parse_problem_file(path: str) -> Problem:

@@ -149,6 +149,7 @@ class TestExitCodes:
             ("ring: commutative -1\nideal: 1\n", "generator counts must be nonnegative"),
             ("ring: custom 1 1\nring: weyl 1\nideal: y1*x1\n", "repeated ring stanza"),
             ("ring: weyl 1\nring: commutative 1 1\nideal: y1*x1\n", "repeated ring stanza"),
+            ("ring: custom 0 1\nq2 1 1: 1\nideal: y1\n", "Q2[1,1] must vanish"),
         ):
             bad.write_text(text)
             code, out, err = run(["gb", str(bad)], capsys)
