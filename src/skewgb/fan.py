@@ -219,11 +219,8 @@ def _cone(bases: _Bases, w: WeightVector) -> GroebnerCone:
         forms = _cone_forms(P, basis, w_int)
     equalities, strict = forms
     eqs = sorted(set(equalities))
-    # irredundant_strict prunes in input order, so give it a canonical one;
-    # it returns Fraction forms, so keep the int forms it kept
-    stricts = sorted(set(strict))
-    kept = set(irredundant_strict(P.m + P.n, eqs, stricts))
-    stricts = [form for form in stricts if form in kept]
+    # irredundant_strict prunes in input order, so give it a canonical one
+    stricts = irredundant_strict(P.m + P.n, eqs, sorted(set(strict)))
     return GroebnerCone(P, w_int, eqs, stricts, basis, init, rep)
 
 

@@ -4,21 +4,25 @@ initial ideals for term orders and weight vectors.
 The paper-level theory reduces every weight-vector computation to a
 term-order computation, possibly after Rees homogenization: a weight
 with negative entries gives a non-term order, which is never iterated
-directly; instead the generators are homogenized, the completion runs
-on the Rees ring under a strictly positive shifted weight that induces
-the same initial forms on homogeneous input, and the result is
-dehomogenized.  Every completion goes through ``buchberger``, which
-skips S-pairs by the Gebauer-Moller criteria B, M and F (sound in
+directly; instead the generators are homogenized, the completion runs on
+the Rees ring under a strictly positive shifted weight that induces the
+same initial forms on homogeneous input, and the result is
+dehomogenized.  That order breaks ties by the base order on the
+variables of R before the x0 exponent, so on homogeneous elements it is
+the order of R refined by w, and in_w(I) is the interreduced initial
+forms of the one basis at every sign of w.  Every completion goes through ``buchberger``,
+which skips S-pairs by the Gebauer-Moller criteria B, M and F (sound in
 these rings of solvable type, since they rest only on the chain
-criterion) and by Buchberger's coprime criterion only when the ring
-is commutative; the reduced basis is unique, so the criteria change
-only how many pairs are reduced.  Every completion is bounded by a pair
-budget and a reduction-step budget and raises ``BudgetExceeded`` rather than
-returning a truncated answer.  The budgets are the explicit
+criterion) and by Buchberger's coprime criterion only when the ring is
+commutative; the reduced basis is unique, so the criteria change only
+how many pairs are reduced.  Every completion is bounded by a pair
+budget and a reduction-step budget and raises ``BudgetExceeded`` rather
+than returning a truncated answer.  The budgets are the explicit
 ``max_pairs`` / ``max_steps`` arguments of ``buchberger`` and
-``normal_form`` when given, else the ``SKEWGB_MAX_PAIRS`` / ``SKEWGB_MAX_STEPS`` environment
-variables, else the defaults below; every other function, weighted
-bases included, runs under those environment budgets.
+``normal_form`` when given, else the ``SKEWGB_MAX_PAIRS`` /
+``SKEWGB_MAX_STEPS`` environment variables, else the defaults below;
+every other function, weighted bases included, runs under those
+environment budgets.
 """
 
 from __future__ import annotations
@@ -211,6 +215,19 @@ def _monic(f: SkewPoly, order: MonomialOrder) -> SkewPoly:
     return f.scale(1 / lc)
 
 
+def _interreduced(P, basis, order, max_steps=None) -> List[SkewPoly]:
+    """The reduced basis of a monic Groebner basis, with no S-pair: each
+    element in turn becomes its normal form modulo the others, a Groebner
+    basis, so it is zero or keeps its monic lead; one pass suffices."""
+    reduced = list(basis)
+    for i, g in enumerate(basis):
+        others = [h for k, h in enumerate(reduced) if k != i and h is not None]
+        r = normal_form(P, g, others, order, max_steps=max_steps)
+        # keep an unchanged g itself: fan._cone_forms reads its term order
+        reduced[i] = None if r.is_zero() else g if r == g else r
+    return [g for g in reduced if g is not None]
+
+
 def _s_pair(P, f, lm_f, g, lm_g) -> SkewPoly:
     kern = P.kernel()
     lcm = _exp_lcm(lm_f, lm_g)
@@ -314,20 +331,7 @@ def buchberger(
         basis.append(r)
         lead.append(order.leading_monomial(r))
         update(len(basis) - 1)
-    # auto-reduction to the reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(basis)):
-            g = basis[idx]
-            if g is None:
-                continue
-            others = [h for k, h in enumerate(basis) if k != idx and h is not None]
-            r = normal_form(P, g, others, order, max_steps=max_steps)
-            if r != g:
-                changed = True
-                basis[idx] = _monic(r, order) if not r.is_zero() else None
-    final = [g for g in basis if g is not None]
+    final = _interreduced(P, basis, order, max_steps)
     final.sort(key=lambda g: order.key(order.leading_monomial(g)))
     return GroebnerBasis(order, final)
 
@@ -355,7 +359,7 @@ def _rees_weight_order(
     positive weight (0, u, v) + lam * (1, w_plus) on the Rees variables.
     On (1, w_plus)-homogeneous elements the lam-multiple is constant
     degree-wise, so ``shifted`` induces exactly the (u, v) initial
-    forms while its refinement of a term order is again a term order.
+    forms, and ``_ReesOrder`` refines it to a term order.
     """
     w_plus = pr_sample_positive(P)
     wt = (0,) + w_int.ints
@@ -366,12 +370,23 @@ def _rees_weight_order(
     return w_plus, shifted
 
 
+class _ReesOrder(MonomialOrder):
+    """The shifted weight on a Rees ring, ties broken by the base order on
+    the variables of R and then by the x0 exponent (the first one): on
+    homogeneous elements, the order of R refined by w."""
+
+    __slots__ = ()
+
+    def _base_key(self, exps):
+        return super()._base_key(exps[1:]) + (exps[0],)
+
+
 def _dehomogenized(
     P: RingPresentation, elements: Iterable[SkewPoly], order: MonomialOrder
 ) -> List[SkewPoly]:
-    """Rees-ring elements with x0 stripped, dehomogenized into P and made
-    monic under ``order``; zeros and repeats dropped, first seen first."""
-    images = (dehomogenize(strip_x0(g), P) for g in elements)
+    """Rees-ring elements dehomogenized into P and made monic under
+    ``order``; zeros and repeats dropped, first seen first."""
+    images = (dehomogenize(g, P) for g in elements)
     return list(dict.fromkeys(_monic(d, order) for d in images if not d.is_zero()))
 
 
@@ -389,9 +404,13 @@ def groebner_wrt_weight(
     homogenized with respect to a positive vector of PR(R) and the
     completion runs under the shifted strictly positive weight, which
     restricts to the (u, v) comparison on homogeneous elements; the
-    completion is repeated until it is saturated with respect to x0.  The
-    dehomogenized result is a Groebner basis for (u, v) but need not be
-    auto-reduced (full reduction under a non-term order can diverge).
+    completion is repeated until it is saturated with respect to x0.  Its
+    ties go to ``kind`` on the variables of R before x0 (``_ReesOrder``):
+    then it is the refined order on homogeneous elements, so the initial
+    forms of the result generate in_(u,v)(I), which with x0 in the
+    tie-break they may not.  The dehomogenized result is a Groebner basis
+    for (u, v) but need not be auto-reduced (full reduction under a
+    non-term order can diverge).
     Each completion runs under the budgets of ``SKEWGB_MAX_PAIRS`` /
     ``SKEWGB_MAX_STEPS`` (see ``buchberger``).
     """
@@ -409,7 +428,7 @@ def groebner_wrt_weight(
     w_plus, shifted = _rees_weight_order(P, w_int)
     rz = rees_presentation(P, w_plus)
     hgens = [homogenize(P, w_plus, g, rz) for g in gens]
-    ord_h = base.refine(shifted)
+    ord_h = _ReesOrder(kind, shifted)
     gb = buchberger(rz.ring, hgens, ord_h)
     for _ in range(_SATURATION_ROUNDS):
         stripped = [strip_x0(g) for g in gb.elements]
@@ -424,12 +443,13 @@ def groebner_wrt_weight(
 
 
 def _initial_ideal_of(P: RingPresentation, basis, w: WeightVector):
-    """The canonical in_w(I) read off a Groebner basis of I at w."""
-    forms = [initial_form(P, g, w) for g in basis]
-    if not forms:
-        return []
-    comm = buchberger(P.graded(), forms, MonomialOrder("grevlex"))
-    return sorted(comm.elements, key=lambda h: sorted(h.terms))
+    """The canonical in_w(I): the monic initial forms of a basis from
+    ``groebner_wrt_weight`` at w, whose grevlex leads are the basis's own,
+    so they are a grevlex Groebner basis already; interreduced in S and
+    sorted by support."""
+    order = MonomialOrder("grevlex")
+    forms = [_monic(initial_form(P, g, w), order) for g in basis]
+    return sorted(_interreduced(P.graded(), forms, order), key=lambda h: sorted(h.terms))
 
 
 class _Bases:
@@ -437,8 +457,8 @@ class _Bases:
 
     Holds the ring and generators of one public call and, keyed by the
     entries of a weight, the basis ``groebner_wrt_weight`` returns there
-    with the canonical initial ideal read off it, both as tuples, since
-    several cones share them.  It is the only route from a weight to
+    with its interreduced initial forms, the canonical in_w(I), both as
+    tuples, since several cones share them.  It is the only route from a weight to
     in_w(I).  A positive multiple of a weight is a separate key; the fan
     asks only at integral weights, so its keys agree.  A fresh object is
     made for each public call and dropped when it returns.
@@ -466,9 +486,9 @@ def initial_ideal_weight(
 ) -> List[SkewPoly]:
     """Canonical generators of the S-ideal in_(u,v)(I).
 
-    Takes the initial forms of a Groebner basis under the weight-refined
-    order and interreduces them to the reduced grevlex Groebner basis of
-    the ideal they generate, monic and sorted by support.  Equal initial
+    Interreduces the initial forms of the one Groebner basis under the
+    weight-refined order, already a grevlex Groebner basis of in_(u,v)(I),
+    to its reduced basis, monic and sorted by support.  Equal initial
     ideals (of any weights or generating sets) give equal lists, and
     unequal ones unequal lists.  Being a grevlex basis, the list's
     grevlex leading monomials generate the monomial initial ideal of

@@ -54,17 +54,19 @@ class MonomialOrder:
 
     # -- comparison ----------------------------------------------------
 
+    def _base_key(self, exps):
+        """The key of the base term order on the exponents of (a, b)."""
+        if self.kind == "lex":
+            return exps
+        if self.kind == "grlex":
+            return (sum(exps),) + exps
+        # grevlex: total degree, then the smaller exponent on the
+        # least significant variable wins
+        return (sum(exps),) + tuple(-e for e in reversed(exps))
+
     def _compute_key(self, mono):
         a, b = mono
-        exps = a + b
-        if self.kind == "lex":
-            key = exps
-        elif self.kind == "grlex":
-            key = (sum(exps),) + exps
-        else:
-            # grevlex: total degree, then the smaller exponent on the
-            # least significant variable wins
-            key = (sum(exps),) + tuple(-e for e in reversed(exps))
+        key = self._base_key(a + b)
         if self._u is None:
             return key
         return (sum(map(mul, self._u, a)) + sum(map(mul, self._v, b)),) + key
@@ -92,7 +94,8 @@ class MonomialOrder:
         return sorted(f.terms.items(), key=lambda kv: self.key(kv[0]), reverse=reverse)
 
     def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and (self.kind, self.weight) == (
+        # a subclass orders differently, so it never equals a plain order
+        return type(other) is type(self) and (self.kind, self.weight) == (
             other.kind, other.weight
         )
 

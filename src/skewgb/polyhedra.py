@@ -19,11 +19,11 @@ def _frac_form(form: Sequence) -> Form:
     return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in form)
 
 
-def _gauss(dim: int, equalities: Iterable[Sequence]) -> Optional[List[Tuple[int, Form]]]:
+def _gauss(dim: int, equalities: Iterable[Sequence]) -> List[Tuple[int, Form]]:
     """Row-reduce homogeneous equalities; returns [(pivot_col, row)] with
-    each row scaled to pivot 1 and reduced against the others, or None if
-    the system forces a contradiction (cannot happen homogeneously, but
-    zero rows are dropped)."""
+    each row scaled to pivot 1 and reduced against the others, sorted by
+    pivot column.  Zero rows are dropped; a homogeneous system is always
+    consistent, so there is no failure case."""
     rows: List[List[Fraction]] = []
     for eq in equalities:
         row = list(_frac_form(eq))
@@ -187,11 +187,12 @@ def irredundant_strict(
     dim: int,
     equalities: Sequence[Sequence],
     strict: Sequence[Sequence],
-) -> List[Form]:
-    """Prune strict forms implied by the equalities and remaining forms."""
-    forms = [_frac_form(f) for f in strict]
-    kept: List[Form] = list(forms)
-    for f in forms:
+) -> List[Sequence]:
+    """Prune strict forms implied by the equalities and remaining forms.
+
+    Returns the caller's own forms that are kept, in input order."""
+    kept = list(strict)
+    for f in strict:
         rest = [g for g in kept if g != f]
         if implied(dim, equalities, (), rest, f, True):
             kept = rest

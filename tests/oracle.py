@@ -10,15 +10,18 @@ ring by mutual normal-form membership, the reference the canonical
 initial-ideal lists are checked against.  ``initial_monomial_ideal_comm``
 completes a commutative ideal afresh under grevlex and returns its
 initial monomial ideal, the reference for the monomial ideals the
-characteristic-variety reports read off.  ``buchberger_all_pairs`` is
-the plain Buchberger algorithm, every S-pair reduced and no criterion
-applied, the reference for the pair criteria of ``buchberger``.  The
-oracles work through the public API only.
+characteristic-variety reports read off.  ``initial_ideal_by_completion``
+completes the initial forms of a weighted basis afresh in S, the
+reference for the initial ideals read off a basis by interreduction.
+``buchberger_all_pairs`` is the plain Buchberger algorithm, every
+S-pair reduced and no criterion applied, the reference for the pair
+criteria of ``buchberger``.  The oracles work through the public API
+only.
 """
 
 from fractions import Fraction
 
-from skewgb import MonomialOrder, buchberger, multiply, normal_form
+from skewgb import MonomialOrder, buchberger, initial_form, multiply, normal_form
 
 
 def expand_tokens(m, xexp, yexp):
@@ -126,6 +129,17 @@ def initial_monomial_ideal_comm(S, gens):
     """The grevlex initial monomial ideal of the S-ideal of gens, by a
     fresh Buchberger completion."""
     return buchberger(S, list(gens), MonomialOrder("grevlex")).initial_ideal(S.m, S.n)
+
+
+def initial_ideal_by_completion(P, basis, w):
+    """The S-ideal generated by the initial forms at w of a basis of R,
+    as its reduced grevlex basis sorted by support, by a fresh Buchberger
+    completion of the forms."""
+    forms = [initial_form(P, g, w) for g in basis]
+    if not forms:
+        return []
+    gb = buchberger(P.graded(), forms, MonomialOrder("grevlex"))
+    return sorted(gb.elements, key=lambda h: sorted(h.terms))
 
 
 def ideals_equal_comm(S, gens_a, gens_b):

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from skewgb import (
+    KINDS,
     BudgetExceeded,
     MonomialOrder,
     RegionError,
@@ -23,6 +24,7 @@ from skewgb import (
     multiply,
     normal_form,
     parse_expression,
+    parse_problem,
     pr_contains,
     rees_presentation,
     sl2_presentation,
@@ -34,7 +36,12 @@ from skewgb import groebner
 from skewgb.ring import SkewPoly
 
 from corpus import CORPUS
-from oracle import buchberger_all_pairs, ideal_member_comm, ideals_equal_comm
+from oracle import (
+    buchberger_all_pairs,
+    ideal_member_comm,
+    ideals_equal_comm,
+    initial_ideal_by_completion,
+)
 from test_kernel import vector_fields
 
 A1 = weyl_presentation(1)
@@ -448,6 +455,80 @@ class TestCanonicalInitialIdeal:
         for entries in ((1, 1, 1, 1), (1, 1, 1, 3), (2, 2, -1, -1)):
             w = WeightVector.for_ring(A2, entries)
             assert initial_ideal_weight(A2, gens, w) == initial_ideal_weight(A2, other, w)
+
+
+# per ring: the ring, the largest generator degree and number of terms
+READ_OFF_RINGS = {
+    "A1": (A1, 2, 3),
+    "A2": (A2, 2, 2),
+    "sl2": (sl2_presentation(), 2, 2),
+    "custom": (parse_problem("ring: custom 1 1\nq1 1 1: x1^2\n").ring, 2, 3),
+}
+# per ring: its integral weights in PR(R) with entries in [-3, 5]
+PR_WEIGHTS = {
+    name: [
+        w
+        for w in (
+            WeightVector.for_ring(P, e)
+            for e in itertools.product(range(-3, 6), repeat=P.m + P.n)
+        )
+        if pr_contains(P, w)
+    ]
+    for name, (P, _degree, _terms) in READ_OFF_RINGS.items()
+}
+
+
+@st.composite
+def read_off_cases(draw, names=tuple(sorted(READ_OFF_RINGS)), mixed=False):
+    """A small ideal of one of the rings ``names`` and an integral weight
+    of its PR(R); a weight with a negative entry when ``mixed``."""
+    name = draw(st.sampled_from(names))
+    P, degree, terms = READ_OFF_RINGS[name]
+    weights = [w for w in PR_WEIGHTS[name] if not (mixed and w.is_nonnegative())]
+    return P, _draw_gens(draw, P, degree, terms, 2), draw(st.sampled_from(weights))
+
+
+class TestInitialIdealReadOff:
+    """``initial_ideal_weight`` interreduces the initial forms of the one
+    weighted basis; they must already be a grevlex Groebner basis of the
+    ideal they generate, at every sign of the weight."""
+
+    @given(read_off_cases())
+    @settings(max_examples=250, deadline=None)
+    def test_matches_completion_oracle(self, case):
+        P, gens, w = case
+        basis, _order = groebner_wrt_weight(P, gens, w)
+        assert initial_ideal_weight(P, gens, w) == initial_ideal_by_completion(P, basis, w)
+
+    def test_rees_ring_witness(self):
+        # example_b homogenized in the Rees ring of A2 at (1, 1, 1, 1), at a
+        # weight universal_gb reaches there; if grevlex over all Rees
+        # variables, x0 included, broke the ties of the shifted weight, the
+        # forms of the basis would give only the first two generators
+        w_plus = WeightVector.for_ring(A2, [1, 1, 1, 1])
+        rz = rees_presentation(A2, w_plus)
+        gens = [A2.y(1) ** 2 - A2.y(2), A2.x(1) * A2.y(1) + 2 * A2.x(2) * A2.y(2)]
+        hgens = [homogenize(A2, w_plus, g, rz) for g in gens]
+        w = WeightVector.for_ring(rz.ring, [-5, 0, 0, -6, -7])
+        init = initial_ideal_weight(rz.ring, hgens, w)
+        # S = gr of the Rees ring names x0, x1, x2 as x1, x2, x3
+        assert [str(h) for h in init] == ["-x1*y2 + y1^2", "x2*y1", "x1*x2*y2"]
+        basis, _order = groebner_wrt_weight(rz.ring, hgens, w)
+        assert init == initial_ideal_by_completion(rz.ring, basis, w)
+
+
+class TestMixedSignMembership:
+    """At a weight with a negative entry, the dehomogenized Rees basis
+    generates the same ideal as the generators, for every base order."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(case=read_off_cases(("A1", "A2", "sl2"), mixed=True))
+    @settings(max_examples=50, deadline=None)
+    def test_basis_generates_the_ideal(self, kind, case):
+        P, gens, w = case
+        basis, _order = groebner_wrt_weight(P, gens, w, kind)
+        grevlex = MonomialOrder("grevlex")
+        assert buchberger(P, basis, grevlex).elements == buchberger(P, gens, grevlex).elements
 
 
 class TestUniversal:
