@@ -15,8 +15,11 @@ completes the initial forms of a weighted basis afresh in S, the
 reference for the initial ideals read off a basis by interreduction.
 ``buchberger_all_pairs`` is the plain Buchberger algorithm, every
 S-pair reduced and no criterion applied, the reference for the pair
-criteria of ``buchberger``.  The oracles work through the public API
-only.
+criteria of ``buchberger``.  ``find_point_fm`` and
+``irredundant_strict_fm`` are Gaussian and Fourier-Motzkin elimination
+on ``Fraction``s that keep every combined row, the reference for the
+merged integer rows of ``skewgb.polyhedra``.  The oracles work through
+the public API only.
 """
 
 from fractions import Fraction
@@ -203,3 +206,116 @@ def buchberger_all_pairs(P, gens, order):
         others = [h for h in minimal if h is not g]
         reduced.append(top + normal_form(P, g - top, others, order))
     return sorted(reduced, key=lambda g: order.key(lead(g)))
+
+
+def _fm_gauss(dim, equalities):
+    """Row-reduce homogeneous equalities over the rationals; returns
+    [(pivot_col, row)] with each row scaled to pivot 1 and reduced
+    against the others, sorted by pivot column."""
+    pivots = []
+    for eq in equalities:
+        row = [Fraction(x) for x in eq]
+        for col, prow in pivots:
+            if row[col]:
+                f = row[col]
+                for k in range(dim):
+                    row[k] -= f * prow[k]
+        lead = next((k for k in range(dim) if row[k]), None)
+        if lead is None:
+            continue
+        inv = 1 / row[lead]
+        row = [x * inv for x in row]
+        for col, prow in pivots:
+            if prow[lead]:
+                f = prow[lead]
+                for k in range(dim):
+                    prow[k] -= f * row[k]
+        pivots.append((lead, row))
+    pivots.sort(key=lambda cr: cr[0])
+    return pivots
+
+
+def _fm_solve(nvars, ineqs):
+    """Fourier-Motzkin over the rationals, keeping every combined row:
+    a witness for a system of (form, strict) rows, or None."""
+    if nvars == 0:
+        if any(strict for _form, strict in ineqs):  # empty form evaluates to 0
+            return None
+        return []
+    last = nvars - 1
+    combined = [(form[:last], strict) for form, strict in ineqs if form[last] == 0]
+    lowers = [(form[:last], form[last], strict) for form, strict in ineqs if form[last] > 0]
+    uppers = [(form[:last], form[last], strict) for form, strict in ineqs if form[last] < 0]
+    for lrest, lc, lstrict in lowers:
+        for urest, uc, ustrict in uppers:
+            form = [lr * (-uc) + ur * lc for lr, ur in zip(lrest, urest)]
+            combined.append((form, lstrict or ustrict))
+    inner = _fm_solve(last, combined)
+    if inner is None:
+        return None
+
+    def bound(rest, c):
+        return -sum(r * x for r, x in zip(rest, inner)) / c
+
+    low = None  # (value, strict)
+    for rest, c, strict in lowers:
+        b = bound(rest, c)
+        if low is None or b > low[0] or (b == low[0] and strict):
+            low = (b, strict)
+    up = None
+    for rest, c, strict in uppers:
+        b = bound(rest, c)
+        if up is None or b < up[0] or (b == up[0] and strict):
+            up = (b, strict)
+    if low is None and up is None:
+        x = Fraction(0)
+    elif up is None:
+        x = low[0] + 1 if low[1] else low[0]
+    elif low is None:
+        x = up[0] - 1 if up[1] else up[0]
+    elif low[0] < up[0]:
+        x = (low[0] + up[0]) / 2
+    else:
+        x = low[0]
+    return inner + [x]
+
+
+def find_point_fm(dim, equalities=(), nonneg=(), positive=()):
+    """A rational point of the homogeneous system (forms = 0, >= 0, > 0),
+    or None: Gaussian elimination on the equalities, then Fourier-Motzkin
+    on the inequalities in the free variables, all on ``Fraction``s, with
+    no row merged, the last free variable eliminated first."""
+    pivots = _fm_gauss(dim, equalities)
+    free = [k for k in range(dim) if k not in {col for col, _row in pivots}]
+
+    def reduce_form(form, strict):
+        row = [Fraction(x) for x in form]
+        for col, prow in pivots:
+            if row[col]:
+                f = row[col]
+                for k in range(dim):
+                    row[k] -= f * prow[k]
+        return [row[k] for k in free], strict
+
+    ineqs = [reduce_form(f, False) for f in nonneg] + [reduce_form(f, True) for f in positive]
+    values = _fm_solve(len(free), ineqs)
+    if values is None:
+        return None
+    point = [Fraction(0)] * dim
+    for col, val in zip(free, values):
+        point[col] = val
+    for col, prow in pivots:
+        point[col] = -sum(prow[k] * point[k] for k in free)
+    return tuple(point)
+
+
+def irredundant_strict_fm(dim, equalities, strict):
+    """The strict forms kept by pruning, in input order, each form dropped
+    when ``find_point_fm`` finds no point of the equalities, the other
+    kept forms > 0 and the form itself <= 0."""
+    kept = list(strict)
+    for f in strict:
+        rest = [g for g in kept if g != f]
+        if find_point_fm(dim, equalities, [tuple(-x for x in f)], rest) is None:
+            kept = rest
+    return kept

@@ -45,6 +45,16 @@ A3_GENS = [
     A3.y(3) - A3.x(3),
 ]
 A3_SEED = WeightVector.for_ring(A3, [1, 1, 2, 3, 7, 5])
+# the GKZ system of the twisted cubic A = [[1,1,1,1],[0,1,2,3]] with beta = 0
+A4 = weyl_presentation(4)
+GKZ_A4 = [
+    A4.x(1) * A4.y(1) + A4.x(2) * A4.y(2) + A4.x(3) * A4.y(3) + A4.x(4) * A4.y(4),
+    A4.x(2) * A4.y(2) + 2 * A4.x(3) * A4.y(3) + 3 * A4.x(4) * A4.y(4),
+    A4.y(1) * A4.y(3) - A4.y(2) ** 2,
+    A4.y(2) * A4.y(4) - A4.y(3) ** 2,
+    A4.y(1) * A4.y(4) - A4.y(2) * A4.y(3),
+]
+GKZ_A4_SEED = WeightVector.for_ring(A4, [2, 3, 5, 7, 11, 13, 17, 19])
 
 
 def _w(P, entries):
@@ -117,6 +127,26 @@ class TestConeOf:
             cone_of(A1, gens, _w(A1, [1, 3])).contains(bad)
         with pytest.raises(RegionError):
             enumerate_fan(A1, gens).cone_containing(bad)
+
+
+class TestGkzA4Seed:
+    """The cone system of this seed once kept Fourier-Motzkin busy for
+    about 50 s; with merged rows it takes a fraction of a second."""
+
+    def test_cone_of(self):
+        cone = cone_of(A4, GKZ_A4, GKZ_A4_SEED)
+        assert not cone.is_maximal()
+        assert list(cone.equalities) == [(0, 0, 0, 0, 1, -1, -1, 1), (0, 1, -2, 1, 0, 0, 0, 0)]
+        assert list(cone.strict) == [
+            (-2, 3, -1, 0, -1, 1, 0, 0),
+            (0, 0, 0, 0, 2, -3, 0, 1),
+            (2, -3, 0, 1, 0, 0, 0, 0),
+            (3, -2, 0, 0, 2, 0, -1, 0),
+        ]
+
+    def test_enumerate_fan_names_the_wall(self):
+        with pytest.raises(SkewGbError, match="seed weight lies on a wall"):
+            enumerate_fan(A4, GKZ_A4, GKZ_A4_SEED)
 
 
 class TestSameClass:

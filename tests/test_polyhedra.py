@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import find_point_fm, irredundant_strict_fm
 
 from skewgb.polyhedra import find_point, implied, irredundant_strict
 
@@ -40,7 +41,8 @@ class TestFindPoint:
         assert p is not None and p[0] == p[1] > 0
 
     def test_strict_pinch_infeasible(self):
-        assert find_point(2, nonneg=[(1, -1)], positive=[(-1, 1), (1, 1), (1, -1)]) is None or True
+        # x - y >= 0 and y - x > 0
+        assert find_point(2, nonneg=[(1, -1)], positive=[(-1, 1), (1, 1), (1, -1)]) is None
         # genuinely pinched strict system: x > y, y > x
         assert find_point(2, positive=[(1, -1), (-1, 1)]) is None
 
@@ -62,10 +64,10 @@ class TestImplication:
 
 class TestRandomizedSoundness:
     @given(st.integers(0, 10_000))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_witness_satisfies_system(self, seed):
         rng = random.Random(seed)
-        dim = rng.randrange(1, 5)
+        dim = rng.randrange(1, 7)
 
         def rand_form():
             return tuple(Fraction(rng.randrange(-3, 4)) for _ in range(dim))
@@ -81,10 +83,10 @@ class TestRandomizedSoundness:
         assert all(_evaluate(f, point) > 0 for f in strict)
 
     @given(st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_infeasibility_means_no_sampled_solution(self, seed):
         rng = random.Random(seed)
-        dim = rng.randrange(1, 4)
+        dim = rng.randrange(1, 7)
 
         def rand_form():
             return tuple(Fraction(rng.randrange(-2, 3)) for _ in range(dim))
@@ -95,3 +97,55 @@ class TestRandomizedSoundness:
         for _ in range(200):
             cand = tuple(Fraction(rng.randrange(-9, 10)) for _ in range(dim))
             assert not all(_evaluate(f, cand) > 0 for f in strict)
+
+
+def random_system(seed):
+    """A homogeneous system (dim, equalities, nonneg, positive) in at most
+    6 variables with int and ``Fraction`` entries, seeded with repeated
+    rows, positive multiples and weak/strict copies of one row, which the
+    solver merges.  At most 7 inequalities, so that the oracle, which
+    keeps every combined row, stays small."""
+    rng = random.Random(seed)
+    dim = rng.randrange(1, 7)
+
+    def entry():
+        if rng.random() < 0.5:
+            return rng.randrange(-3, 4)
+        return Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+
+    def rand_form():
+        return tuple(entry() for _ in range(dim))
+
+    eqs = [rand_form() for _ in range(rng.randrange(0, 3))]
+    weak = [rand_form() for _ in range(rng.randrange(0, 4))]
+    strict = [rand_form() for _ in range(rng.randrange(0, 3))]
+    for _ in range(rng.randrange(0, 3)):
+        if weak or strict:
+            k = rng.choice([1, 2, 3, Fraction(1, 2)])
+            copy = tuple(k * x for x in rng.choice(weak + strict))
+            rng.choice([weak, strict]).append(copy)
+    return dim, eqs, weak, strict
+
+
+class TestAgreesWithFractionOracle:
+    """Merging rows changes no result: the same witness and the same
+    kept forms as Fourier-Motzkin over the rationals with every row."""
+
+    def test_merged_copies(self):
+        # y - x > 0 with its weak copy and a multiple, x >= 0
+        system = (2, [], [(1, 0), (-1, 1)], [(-2, 2), (-1, 1)])
+        assert find_point(*system) == find_point_fm(*system) == (0, 1)
+        assert irredundant_strict(2, [], [(1, 1), (2, 2), (1, 0)]) == [(2, 2), (1, 0)]
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_find_point_identical(self, seed):
+        dim, eqs, weak, strict = random_system(seed)
+        assert find_point(dim, eqs, weak, strict) == find_point_fm(dim, eqs, weak, strict)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_irredundant_strict_identical(self, seed):
+        dim, eqs, weak, strict = random_system(seed)
+        forms = strict + weak
+        assert irredundant_strict(dim, eqs, forms) == irredundant_strict_fm(dim, eqs, forms)
