@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import RegionError, SkewGbError
-from .groebner import MonomialIdeal, _Bases, _integral_scale, initial_ideal_weight
+from .groebner import MonomialIdeal, _Bases, initial_ideal_weight
+from .kernel import _accumulate
 from .orders import MonomialOrder
 from .ring import RingPresentation, SkewPoly
 from .weights import NEG_INF, WeightVector, pr_contains, pr_sample_positive
@@ -183,17 +184,11 @@ def hilbert_series_monomial(
         gexp = a + b
         nxt = dict(layer)
         for lcm_exp, sign in layer.items():
-            merged = tuple(max(x, y) for x, y in zip(lcm_exp, gexp))
-            nxt[merged] = nxt.get(merged, 0) - sign
-        layer = {e: c for e, c in nxt.items() if c}
+            _accumulate(nxt, tuple(max(x, y) for x, y in zip(lcm_exp, gexp)), -sign)
+        layer = nxt
     numerator: Dict[int, int] = {}
     for exp, sign in layer.items():
-        deg = sum(w * e for w, e in zip(weights, exp))
-        acc = numerator.get(deg, 0) + sign
-        if acc:
-            numerator[deg] = acc
-        elif deg in numerator:
-            del numerator[deg]
+        _accumulate(numerator, sum(w * e for w, e in zip(weights, exp)), sign)
     return HilbertSeries(numerator, weights)
 
 
@@ -252,16 +247,9 @@ def fit_quasi_polynomial(
             return None
         # exact polynomial interpolation through the first degree+1 points
         sel = points[: degree + 1]
-        coeffs = _interpolate(sel, [Fraction(values[i]) for i in sel], degree)
-        poly = coeffs
-        for i in points[degree + 1:]:
-            acc = Fraction(0)
-            for c in reversed(poly):
-                acc = acc * i + c
-            if acc != values[i]:
-                return None
-        polys.append(poly)
-    return QuasiPolynomial(period, polys)
+        polys.append(_interpolate(sel, [Fraction(values[i]) for i in sel], degree))
+    qp = QuasiPolynomial(period, polys)
+    return qp if all(qp(i) == v for i, v in values.items()) else None
 
 
 def _interpolate(xs: Sequence[int], ys: Sequence[Fraction], degree: int):
@@ -442,7 +430,7 @@ def verify_component_bound(
     # positive w serves and its basis is read once
     w_gk = w if w.is_positive() else pr_sample_positive(P)
     gkdim = krull_dim_monomial(_leading_ideal(P, bases.at(w_gk)[1]))
-    w_int = _integral_scale(w)
+    w_int = w._integral_scale()
     if ci.is_monomial:
         if J.is_unit():
             return ComponentReport(

@@ -17,14 +17,14 @@ from operator import mul, sub
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceeded, RegionError, SkewGbError
-from .groebner import _Bases, _dehomogenized, _integral_scale
+from .groebner import _Bases, _dehomogenized
 from .orders import MonomialOrder
-from .polyhedra import find_point, irredundant_strict
+from .polyhedra import _primitive, find_point, irredundant_strict
 from .rees import homogenize, rees_presentation
 from .ring import RingPresentation, SkewPoly
 from .weights import (
     WeightVector,
-    _normalize_form,
+    _top_split,
     pr_contains,
     pr_halfspaces,
     pr_sample_positive,
@@ -43,7 +43,7 @@ def _diff(e, f) -> Tuple[int, ...]:
 
 
 def _canonical_eq(form) -> Tuple[int, ...]:
-    form = _normalize_form(form)
+    form = _primitive(form)
     lead = next((x for x in form if x), None)
     if lead is not None and lead < 0:
         form = tuple(-x for x in form)
@@ -138,16 +138,6 @@ class GroebnerCone:
         return f"GroebnerCone({kind}, weight={self.weight})"
 
 
-def _top_split(g: SkewPoly, w: WeightVector):
-    """Terms of g at its top w-degree, the terms below, and all w-degrees
-    as ``w.scaled_dot`` ints (w.den times the degree)."""
-    dots = {key: w.scaled_dot(key) for key in g.terms}
-    top = max(dots.values())
-    winners = [key for key in g.terms if dots[key] == top]
-    rest = [key for key in g.terms if dots[key] != top]
-    return winners, rest, dots
-
-
 def _cone_forms(P: RingPresentation, basis, w: WeightVector):
     """Equalities and strict forms of the class of w cut out by a basis."""
     equalities = []
@@ -161,7 +151,7 @@ def _cone_forms(P: RingPresentation, basis, w: WeightVector):
                 equalities.append(form)
         for e in winners:
             for f in rest:
-                form = _normalize_form(_diff(e, f))
+                form = _primitive(_diff(e, f))
                 if any(form):
                     strict.append(form)
     strict.extend(pr_halfspaces(P).strict)
@@ -182,7 +172,7 @@ def _positive_rep(bases: _Bases, w: WeightVector, forms=None) -> Optional[Weight
     point = find_point(dim, equalities, (), list(strict) + coord)
     if point is None:
         return None
-    rep = _integral_scale(WeightVector(point[: P.m], point[P.m:]))
+    rep = WeightVector.for_ring(P, point)._integral_scale()
     return rep if bases.at(rep)[1] == init else None
 
 
@@ -209,7 +199,7 @@ def _cone(bases: _Bases, w: WeightVector) -> GroebnerCone:
     P = bases.ring
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
-    w_int = _integral_scale(w)
+    w_int = w._integral_scale()
     basis, init = bases.at(w_int)
     forms = _cone_forms(P, basis, w_int)
     rep = _positive_rep(bases, w_int, forms)
@@ -241,7 +231,7 @@ def gr_region_contains(
     """Whether the class of w contains a positive weight (w in GR(I))."""
     if not pr_contains(P, w):
         return False
-    return _positive_rep(_Bases(P, gens), _integral_scale(w)) is not None
+    return _positive_rep(_Bases(P, gens), w._integral_scale()) is not None
 
 
 # -- epsilon threshold -------------------------------------------------
@@ -293,7 +283,7 @@ def epsilon_threshold(
     w_prime.check(P)
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
-    w_int = _integral_scale(w)
+    w_int = w._integral_scale()
     return _epsilon_bound(P, _marked_basis(_Bases(P, gens), w_int), w_int, w_prime)
 
 
@@ -377,7 +367,7 @@ def walk(
             break
         # certify the wall: the one-sided initial ideal matches the cone
         before = _segment_point(w_start, w_end, (t_enter + t_exit) / 2)
-        if bases.at(_integral_scale(before))[1] != cone.initial_gens:
+        if bases.at(before._integral_scale())[1] != cone.initial_gens:
             raise SkewGbError(f"walk certification failed before wall t={t_exit}")
         # the wall itself is a genuine lower-dimensional class
         w_here = _segment_point(w_start, w_end, t_exit)
@@ -425,7 +415,7 @@ def _step(bases: _Bases, w: WeightVector, basis, d: WeightVector) -> GroebnerCon
     the epsilon bound read off the marked basis at w."""
     P = bases.ring
     eps = _epsilon_bound(P, basis, w, d)
-    candidate = _integral_scale(w + d.scale(eps / 2))
+    candidate = (w + d.scale(eps / 2))._integral_scale()
     if not pr_contains(P, candidate):
         # the bound caps eps by every PR form that d decreases
         raise SkewGbError(f"step from {w} along {d} left the polynomial region")
@@ -459,7 +449,7 @@ def _generic_seed(bases: _Bases) -> GroebnerCone:
             )
             if point is None:
                 continue
-            d = WeightVector(point[: P.m], point[P.m:])
+            d = WeightVector.for_ring(P, point)
             candidate = _step(bases, cone.weight, cone.basis, d)
             if candidate.is_maximal():
                 return candidate
@@ -484,7 +474,7 @@ def _cross_facet(
     point = find_point(dim, list(cone.equalities) + [facet], (), others)
     if point is None:
         return None
-    p = _integral_scale(WeightVector(point[: P.m], point[P.m:]))
+    p = WeightVector.for_ring(P, point)._integral_scale()
     if not pr_contains(P, p):
         return None
     d = WeightVector(
@@ -531,7 +521,7 @@ def enumerate_fan(
     cones: Dict[tuple, GroebnerCone] = {first.key(): first}
     adjacency: Set[frozenset] = set()
     # (cone key, facet form) pairs already crossed from the other side;
-    # _normalize_form scales by a positive factor, so -f is normalized
+    # _primitive divides by a positive gcd, so -f is primitive too
     crossed: Set[tuple] = set()
     queue = [first]
     complete = True

@@ -344,11 +344,6 @@ def initial_ideal_order(
     return gb.initial_ideal(P.m, P.n)
 
 
-def _integral_scale(w: WeightVector) -> WeightVector:
-    """w times the lcm of its denominators: its integer view as a weight."""
-    return w if w.den == 1 else WeightVector(w.iu, w.iv)
-
-
 def _rees_weight_order(
     P: RingPresentation, w_int: WeightVector
 ) -> Tuple[WeightVector, WeightVector]:
@@ -416,7 +411,7 @@ def groebner_wrt_weight(
     """
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
-    w_int = _integral_scale(w)
+    w_int = w._integral_scale()
     base = MonomialOrder(kind)
     ord_w = base.refine(w_int)
     gens = [g for g in gens if not g.is_zero()]

@@ -110,29 +110,4 @@ class MonomialOrder:
 
 def validate_order(P: RingPresentation, order: MonomialOrder) -> bool:
     """Conditions (M1)/(M2): relation table entries precede their products."""
-    m, n = P.m, P.n
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            entry = P.q1_entry(i, j)
-            if entry.is_zero():
-                continue
-            a = tuple(1 if k == j - 1 else 0 for k in range(m))
-            b = tuple(1 if k == i - 1 else 0 for k in range(n))
-            product = (a, b)
-            for mono in entry.terms:
-                if not order.less(mono, product):
-                    return False
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            entry = P.q2_entry(i, j)
-            if entry.is_zero():
-                continue
-            b = tuple(
-                (1 if k == i - 1 else 0) + (1 if k == j - 1 else 0) for k in range(n)
-            )
-            product = ((0,) * m, b)
-            for mono in entry.terms:
-                if not order.less(mono, product):
-                    return False
-    return True
+    return all(order.less(term, word) for word, term in P._relation_terms())

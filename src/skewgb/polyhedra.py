@@ -26,6 +26,12 @@ rationals, and the witness is the same rational point:
 Back-substitution holds the partial point over one common denominator,
 compares bounds by cross-multiplication and makes one ``Fraction`` per
 eliminated variable.
+
+The integer view of a rational vector has its one home here, for the
+whole package: ``_scaled`` gives the lcm of the denominators and the
+entries times it, and ``_primitive`` divides an integer row by its gcd.
+Weight vectors, the half-spaces of PR(R) and cone forms are built with
+them, and no other module calls ``gcd`` or ``lcm``.
 """
 
 from __future__ import annotations
@@ -45,18 +51,24 @@ def _primitive(row: Sequence[int]) -> Row:
     return tuple(x // g for x in row) if g > 1 else tuple(row)
 
 
-def _int_form(dim: int, form: Sequence, kind: str) -> List[int]:
+def _scaled(values: Sequence) -> Tuple[int, Row]:
+    """The lcm ``den`` of the values' denominators, and the values times
+    ``den`` as ints: the integer view of a rational vector."""
+    if all(type(x) is int for x in values):
+        return 1, tuple(values)
+    qs = [x if isinstance(x, Fraction) else Fraction(x) for x in values]
+    den = lcm(*(q.denominator for q in qs))
+    return den, tuple(q.numerator * (den // q.denominator) for q in qs)
+
+
+def _int_form(dim: int, form: Sequence, kind: str) -> Row:
     """The form as integers, scaled by the lcm of its denominators."""
     if len(form) != dim:
         raise ValueError(f"{kind} form has wrong length")
-    if all(type(x) is int for x in form):
-        return list(form)
-    qs = [x if isinstance(x, Fraction) else Fraction(x) for x in form]
-    den = lcm(*(q.denominator for q in qs))
-    return [q.numerator * (den // q.denominator) for q in qs]
+    return _scaled(form)[1]
 
 
-def _reduce(row: List[int], pivots: List[Tuple[int, Row]]) -> List[int]:
+def _reduce(row: Sequence[int], pivots: List[Tuple[int, Row]]) -> Sequence[int]:
     """A positive multiple of row with zeros in every pivot column."""
     for col, prow in pivots:
         f = row[col]
@@ -208,25 +220,6 @@ def find_point(
     for col, prow in pivots:
         point[col] = Fraction(-sum(prow[k] * num for k, num in zip(free, nums)), prow[col] * den)
     return tuple(point)
-
-
-def implied(
-    dim: int,
-    equalities: Iterable[Sequence],
-    nonneg: Iterable[Sequence],
-    positive: Iterable[Sequence],
-    form: Sequence,
-    strict: bool,
-) -> bool:
-    """Whether ``form >= 0`` (or > 0 when strict) holds on every solution.
-
-    Decided by infeasibility of the system plus the negated constraint.
-    """
-    pivots, free, rows = _system(dim, equalities, nonneg, positive)
-    neg = tuple(-x for x in _reduced(dim, form, pivots, free))
-    # negation of (form > 0) is (-form >= 0), of (form >= 0) is (-form > 0)
-    _put(rows, neg, not strict)
-    return _fm_levels(len(free), rows) is None
 
 
 def irredundant_strict(

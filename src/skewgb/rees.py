@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import RegionError, SkewGbError
+from .errors import PresentationError, RegionError, SkewGbError
+from .kernel import _accumulate
 from .ring import RingPresentation, SkewPoly
-from .weights import WeightVector, pr_contains
+from .weights import WeightVector, _top_split, pr_contains
 
 
 class ReesPresentation:
@@ -98,16 +99,24 @@ def rees_presentation(P: RingPresentation, w: WeightVector) -> ReesPresentation:
 
 
 def homogenize(P: RingPresentation, w: WeightVector, f: SkewPoly, rees: ReesPresentation | None = None) -> SkewPoly:
-    """Weight homogenization of a nonzero f into the Rees ring."""
+    """Weight homogenization of a nonzero f into the Rees ring.
+
+    A ``rees`` given by the caller must be the Rees ring of P at w.
+    """
+    if f.ring != P:
+        raise PresentationError("element does not belong to the given presentation")
     if rees is None:
         rees = rees_presentation(P, w)
-    else:
-        _check_weight(P, w)
+    elif rees.base != P:
+        raise PresentationError(f"Rees ring of {rees.base.name} given for {P.name}")
+    elif rees.weight != w:
+        # building rees checked its weight; w is checked only by matching it
+        raise RegionError(f"Rees ring built for weight {rees.weight}, not {w}")
     if f.is_zero():
         raise RegionError("cannot homogenize the zero polynomial")
-    # w is integral (checked above), so scaled_dot is the exact degree
-    degs = {key: w.scaled_dot(key) for key in f.terms}
-    top = max(degs.values())
+    # w is integral (checked with rees), so scaled_dot is the exact degree
+    winners, _rest, degs = _top_split(f, w)
+    top = degs[winners[0]]
     return SkewPoly(
         rees.ring, {((top - degs[(a, b)],) + a, b): c for (a, b), c in f.terms.items()}
     )
@@ -115,14 +124,14 @@ def homogenize(P: RingPresentation, w: WeightVector, f: SkewPoly, rees: ReesPres
 
 def dehomogenize(f: SkewPoly, base: RingPresentation) -> SkewPoly:
     """Image of a Rees-ring element under x0 -> 1, in standard form."""
+    R = f.ring
+    if (R.m, R.n) != (base.m + 1, base.n):
+        raise PresentationError(
+            f"ring with {R.m} x's and {R.n} y's is no Rees ring of {base.name}"
+        )
     terms = {}
     for (a, b), c in f.terms.items():
-        key = (a[1:], b)
-        acc = terms.get(key, Fraction(0)) + c
-        if acc:
-            terms[key] = acc
-        elif key in terms:
-            del terms[key]
+        _accumulate(terms, (a[1:], b), c)
     return SkewPoly(base, terms)
 
 

@@ -7,6 +7,13 @@ element has a unique standard expression sum kappa_{a,b} x^a y^b; the
 ``SkewPoly`` class stores exactly that normal form with exact rational
 coefficients.  All values are immutable after construction and every
 operation is a pure function.
+
+The relation tables are read in one place: ``_relation_terms`` lists each
+relation's leading word (x_j y_i, or y_j y_i with j < i) with every
+monomial of its right-hand side.  The polynomial region PR(R) (the
+weights under which each term weighs less than its word) and the
+conditions (M1)/(M2) on an order are both read off that list.  Table
+entries are summed with the kernel's ``_accumulate``.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import PresentationError
-from .kernel import MulKernel, _add_terms
+from .kernel import MulKernel, _accumulate, _add_terms
 
 Exponents = Tuple[int, ...]
 MonomialKey = Tuple[Exponents, Exponents]
@@ -28,32 +35,20 @@ def _as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def _canon_xpoly(entry, m: int):
-    """Canonicalize a commutative-in-x table entry to sorted item pairs."""
-    items: Dict[Exponents, Fraction] = {}
-    for xe, coeff in dict(entry).items():
-        xe = tuple(int(e) for e in xe)
-        if len(xe) != m or any(e < 0 for e in xe):
-            raise PresentationError(f"bad x-exponent {xe} in Q1 entry")
-        coeff = _as_fraction(coeff)
-        if coeff:
-            items[xe] = items.get(xe, _ZERO) + coeff
-    return tuple(sorted((xe, c) for xe, c in items.items() if c))
+def _canon_entry(entry, shape: Tuple[int, ...], table: str):
+    """Canonicalize a relation table entry to sorted (monomial, coeff) pairs.
 
-
-def _canon_xypoly(entry, m: int, n: int):
-    """Canonicalize a Q2 table entry to sorted ((xexp, yexp), coeff) pairs."""
-    items: Dict[MonomialKey, Fraction] = {}
-    for key, coeff in dict(entry).items():
-        xe, ye = key
-        xe = tuple(int(e) for e in xe)
-        ye = tuple(int(e) for e in ye)
-        if len(xe) != m or len(ye) != n or any(e < 0 for e in xe + ye):
-            raise PresentationError(f"bad exponent {key} in Q2 entry")
-        coeff = _as_fraction(coeff)
-        if coeff:
-            items[(xe, ye)] = items.get((xe, ye), _ZERO) + coeff
-    return tuple(sorted((k, c) for k, c in items.items() if c))
+    ``shape`` is ``(m,)`` for a Q1 entry, keyed by x-exponent tuples, and
+    ``(m, n)`` for a Q2 entry, keyed by (x-exponent, y-exponent) pairs.
+    """
+    items = {}
+    for raw, coeff in dict(entry).items():
+        parts = (raw,) if len(shape) == 1 else raw
+        key = tuple(tuple(int(e) for e in p) for p in parts)
+        if tuple(map(len, key)) != shape or any(e < 0 for p in key for e in p):
+            raise PresentationError(f"bad exponent {raw} in {table} entry")
+        _accumulate(items, key if len(shape) > 1 else key[0], _as_fraction(coeff))
+    return tuple(sorted(items.items()))
 
 
 class RingPresentation:
@@ -117,7 +112,7 @@ class RingPresentation:
         for i in range(1, n + 1):
             row = []
             for j in range(1, m + 1):
-                row.append(_canon_xpoly(q1.get((i, j), {}), m))
+                row.append(_canon_entry(q1.get((i, j), {}), (m,), "Q1"))
             table1.append(tuple(row))
         self._q1 = tuple(table1)
 
@@ -125,7 +120,7 @@ class RingPresentation:
         for (i, j), entry in q2.items():
             if not (1 <= i <= n and 1 <= j <= n):
                 raise PresentationError(f"Q2 index {(i, j)} out of range")
-            canon = _canon_xypoly(entry, m, n)
+            canon = _canon_entry(entry, (m, n), "Q2")
             if i == j and canon:
                 raise PresentationError(f"Q2[{i},{i}] must vanish (antisymmetry)")
             for (xe, ye), _c in canon:
@@ -153,6 +148,24 @@ class RingPresentation:
         """Value of y_i y_j - y_j y_i as an element of R (1-based)."""
         entry = self._q2.get((i, j), ())
         return SkewPoly(self, {key: c for key, c in entry})
+
+    def _relation_terms(self):
+        """(word, term) exponent pairs of the relations: the word x_j y_i
+        with each monomial of Q1_ij, and the word y_j y_i (j < i) with each
+        monomial of Q2_ij.  One orientation of Q2 is enough: the tables
+        are antisymmetric."""
+        zx, zy = (0,) * self.m, (0,) * self.n
+        for i, row in enumerate(self._q1):
+            yi = tuple(int(k == i) for k in range(self.n))
+            for j, entry in enumerate(row):
+                word = (tuple(int(k == j) for k in range(self.m)), yi)
+                for xe, _c in entry:
+                    yield word, (xe, zy)
+        for (i, j), entry in self._q2.items():
+            if j < i:
+                word = (zx, tuple(int(k == i - 1) + int(k == j - 1) for k in range(self.n)))
+                for key, _c in entry:
+                    yield word, key
 
     @property
     def is_commutative(self) -> bool:

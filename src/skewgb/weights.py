@@ -10,16 +10,23 @@ Weights are exact rationals, but every dot product and sign test runs
 on plain ints: each weight carries its entries times the lcm of their
 denominators, and a positive scale keeps every sign and comparison.
 Linear forms (half-spaces, cone forms) are integer tuples of content 1.
+Both integer views come from ``polyhedra._scaled`` and
+``polyhedra._primitive``; the half-spaces of PR(R) are read off
+``RingPresentation._relation_terms``, the one list of relation words and
+their right-hand-side terms.  The split of a polynomial at its top
+weighted degree has its one home here, ``_top_split``: initial forms,
+Rees homogenization and the cone forms of the fan read it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence, Tuple
 
 from .errors import RegionError, SkewGbError
+from .polyhedra import _primitive, _scaled
 from .ring import RingPresentation, SkewPoly
 
 NEG_INF = float("-inf")
@@ -45,13 +52,9 @@ class WeightVector:
     def __init__(self, u: Iterable, v: Iterable):
         self.u: Tuple[Fraction, ...] = tuple(_frac(x) for x in u)
         self.v: Tuple[Fraction, ...] = tuple(_frac(x) for x in v)
-        den = self.den = denominator_lcm(self.u + self.v)
-        self.iu: Tuple[int, ...] = tuple(
-            x.numerator * (den // x.denominator) for x in self.u
-        )
-        self.iv: Tuple[int, ...] = tuple(
-            x.numerator * (den // x.denominator) for x in self.v
-        )
+        self.den, ints = _scaled(self.u + self.v)
+        self.iu: Tuple[int, ...] = ints[: len(self.u)]
+        self.iv: Tuple[int, ...] = ints[len(self.u):]
 
     @classmethod
     def for_ring(cls, P: RingPresentation, entries: Sequence) -> "WeightVector":
@@ -98,6 +101,10 @@ class WeightVector:
     def is_integral(self) -> bool:
         return self.den == 1
 
+    def _integral_scale(self) -> "WeightVector":
+        """w times ``den``: its integer view as a weight."""
+        return self if self.den == 1 else WeightVector(self.iu, self.iv)
+
     def is_positive(self) -> bool:
         return all(x > 0 for x in self.ints)
 
@@ -131,20 +138,6 @@ class WeightVector:
     __repr__ = __str__
 
 
-def denominator_lcm(values: Iterable[Fraction]) -> int:
-    """Least common multiple of the denominators of the rationals (1 if none)."""
-    return math.lcm(*(x.denominator for x in values))
-
-
-def _normalize_form(form: Sequence) -> Tuple[int, ...]:
-    """Scale a rational linear form by a positive rational to ints of
-    content 1; the zero form becomes a tuple of int zeros."""
-    den = denominator_lcm(form)
-    nums = [(x * den).numerator for x in form]
-    g = math.gcd(*nums)
-    return tuple(x // g for x in nums) if g > 1 else tuple(nums)
-
-
 class HalfspaceSystem:
     """A finite list of strict linear inequalities L(u, v) > 0, each form
     an integer tuple of content 1."""
@@ -156,7 +149,7 @@ class HalfspaceSystem:
         self.n = n
         seen = []
         for form in strict:
-            form = _normalize_form([_frac(x) for x in form])
+            form = _primitive(_scaled(form)[1])
             if len(form) != m + n:
                 raise SkewGbError("halfspace form has wrong length")
             if any(form) and form not in seen:
@@ -213,10 +206,18 @@ def initial_form(P: RingPresentation, f: SkewPoly, w: WeightVector) -> SkewPoly:
     w.check(P)
     if f.is_zero():
         raise SkewGbError("initial form of the zero polynomial is undefined")
-    degs = {key: w.scaled_dot(key) for key in f.terms}
-    top = max(degs.values())
-    S = P.graded()
-    return SkewPoly(S, {key: c for key, c in f.terms.items() if degs[key] == top})
+    winners, _rest, _dots = _top_split(f, w)
+    return SkewPoly(P.graded(), {key: f.terms[key] for key in winners})
+
+
+def _top_split(g: SkewPoly, w: WeightVector):
+    """Terms of a nonzero g at its top w-degree, the terms below, and all
+    w-degrees as ``w.scaled_dot`` ints (w.den times the degree)."""
+    dots = {key: w.scaled_dot(key) for key in g.terms}
+    top = max(dots.values())
+    winners = [key for key in g.terms if dots[key] == top]
+    rest = [key for key in g.terms if dots[key] != top]
+    return winners, rest, dots
 
 
 def pr_halfspaces(P: RingPresentation) -> HalfspaceSystem:
@@ -232,39 +233,11 @@ def pr_halfspaces(P: RingPresentation) -> HalfspaceSystem:
 
 
 def _build_pr_halfspaces(P: RingPresentation) -> HalfspaceSystem:
-    m, n = P.m, P.n
-    forms = []
-    zero = [0] * (m + n)
-
-    def uv_coeff(j=None, i=None):
-        form = list(zero)
-        if j is not None:
-            form[j] += 1
-        if i is not None:
-            form[m + i] += 1
-        return form
-
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            q = P.q1_entry(i, j)
-            for (a, _b) in q.terms:
-                form = uv_coeff(j=j - 1, i=i - 1)
-                for k, e in enumerate(a):
-                    form[k] -= e
-                forms.append(tuple(form))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            q = P.q2_entry(j, i)  # stored pairs; either orientation works
-            for (a, b) in q.terms:
-                form = list(zero)
-                form[m + i - 1] += 1
-                form[m + j - 1] += 1
-                for k, e in enumerate(a):
-                    form[k] -= e
-                for k, e in enumerate(b):
-                    form[m + k] -= e
-                forms.append(tuple(form))
-    return HalfspaceSystem(m, n, forms)
+    # the form (word - term) for each relation word and right-hand-side term
+    forms = (
+        tuple(map(sub, wa + wb, ta + tb)) for (wa, wb), (ta, tb) in P._relation_terms()
+    )
+    return HalfspaceSystem(P.m, P.n, forms)
 
 
 def pr_contains(P: RingPresentation, w: WeightVector) -> bool:
@@ -275,13 +248,6 @@ def pr_contains(P: RingPresentation, w: WeightVector) -> bool:
 
 def pr_sample_positive(P: RingPresentation) -> WeightVector:
     """The positive vector (1, p*1) in PR(R), p = max x-degree of the tables + 1."""
-    max_xdeg = 0
-    for i in range(1, P.n + 1):
-        for j in range(1, P.m + 1):
-            for (a, _b) in P.q1_entry(i, j).terms:
-                max_xdeg = max(max_xdeg, sum(a))
-        for j in range(1, P.n + 1):
-            for (a, _b) in P.q2_entry(i, j).terms:
-                max_xdeg = max(max_xdeg, sum(a))
+    max_xdeg = max((sum(a) for _word, (a, _b) in P._relation_terms()), default=0)
     p = max_xdeg + 1
     return WeightVector([Fraction(1)] * P.m, [Fraction(p)] * P.n)

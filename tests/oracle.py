@@ -18,8 +18,12 @@ S-pair reduced and no criterion applied, the reference for the pair
 criteria of ``buchberger``.  ``find_point_fm`` and
 ``irredundant_strict_fm`` are Gaussian and Fourier-Motzkin elimination
 on ``Fraction``s that keep every combined row, the reference for the
-merged integer rows of ``skewgb.polyhedra``.  The oracles work through
-the public API only.
+merged integer rows of ``skewgb.polyhedra``.  ``pr_forms_by_entries``,
+``validate_order_by_entries`` and ``pr_sample_positive_by_entries`` read
+the relation tables entry by entry through ``q1_entry`` and ``q2_entry``,
+the last two in both orientations of Q2: the reference for the readers
+of ``RingPresentation._relation_terms``.
+The oracles work through the public API only.
 """
 
 from fractions import Fraction
@@ -319,3 +323,62 @@ def irredundant_strict_fm(dim, equalities, strict):
         if find_point_fm(dim, equalities, [tuple(-x for x in f)], rest) is None:
             kept = rest
     return kept
+
+
+def pr_forms_by_entries(P):
+    """The forms of PR(R): u_j + v_i - u.a for x^a in Q1_{i,j}, and
+    v_i + v_j - u.a - v.b for x^a y^b in Q2_{j,i} (i < j)."""
+    m, n = P.m, P.n
+    forms = []
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            for (a, _b) in P.q1_entry(i, j).terms:
+                form = [0] * (m + n)
+                form[j - 1] += 1
+                form[m + i - 1] += 1
+                for k, e in enumerate(a):
+                    form[k] -= e
+                forms.append(tuple(form))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for (a, b) in P.q2_entry(j, i).terms:
+                form = [0] * (m + n)
+                form[m + i - 1] += 1
+                form[m + j - 1] += 1
+                for k, e in enumerate(a + b):
+                    form[k] -= e
+                forms.append(tuple(form))
+    return forms
+
+
+def validate_order_by_entries(P, order):
+    """Conditions (M1)/(M2), every table entry in both orientations."""
+    m, n = P.m, P.n
+    for i in range(1, n + 1):
+        yi = tuple(int(k == i - 1) for k in range(n))
+        for j in range(1, m + 1):
+            product = (tuple(int(k == j - 1) for k in range(m)), yi)
+            if any(not order.less(mono, product) for mono in P.q1_entry(i, j).terms):
+                return False
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            b = tuple(int(k == i - 1) + int(k == j - 1) for k in range(n))
+            product = ((0,) * m, b)
+            if any(not order.less(mono, product) for mono in P.q2_entry(i, j).terms):
+                return False
+    return True
+
+
+def pr_sample_positive_by_entries(P):
+    """The entries of (1, p*1), p = 1 + the largest x-degree of any
+    table entry."""
+    max_xdeg = 0
+    for i in range(1, P.n + 1):
+        for j in range(1, P.m + 1):
+            for (a, _b) in P.q1_entry(i, j).terms:
+                max_xdeg = max(max_xdeg, sum(a))
+        for j in range(1, P.n + 1):
+            for (a, _b) in P.q2_entry(i, j).terms:
+                max_xdeg = max(max_xdeg, sum(a))
+    return (1,) * P.m + (max_xdeg + 1,) * P.n

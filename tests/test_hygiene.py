@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, every import
-sits at module level, no public function takes ``**kwargs``, and one
-route leads from a weight to its weighted basis and initial ideal."""
+sits at module level, no public function takes ``**kwargs``, one route
+leads from a weight to its weighted basis and initial ideal, and each
+repeated idiom has one home."""
 
 import ast
 import pathlib
@@ -220,10 +221,35 @@ def test_bundled_basis_and_certificate_helpers_are_gone():
     # callers that needed only the basis paid for the certificate
     gone = {"_reduced_marked_basis", "_class_has_positive"}
     assert routes(gone) == set()
-    defined = {
-        node.name
+    assert definitions(gone) == []
+
+
+def definitions(names):
+    """(name, module) of each function definition of one of ``names``."""
+    return sorted(
+        (node.name, path.name)
         for path in ALL_MODULES
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names
+    )
+
+
+# each repeated idiom has one home: the relation tables are read entry by
+# entry only where coefficients or both orientations of Q2 are needed
+# (everything else reads ``RingPresentation._relation_terms``), the
+# integer view of a vector is taken only in polyhedra, and the top-degree
+# split of a polynomial is written once
+def test_relation_tables_read_entry_by_entry_only_in_ring_and_rees():
+    assert routes({"q1_entry", "q2_entry"}) == {
+        ("q2_entry", "ring.py", "validate_presentation"),
+        ("q1_entry", "rees.py", "rees_presentation"),
+        ("q2_entry", "rees.py", "rees_presentation"),
     }
-    assert not gone & defined
+
+
+def test_gcd_and_lcm_called_only_in_polyhedra():
+    assert {module for _name, module, _scope in routes({"gcd", "lcm"})} == {"polyhedra.py"}
+
+
+def test_top_split_defined_once_in_weights():
+    assert definitions({"_top_split"}) == [("_top_split", "weights.py")]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import find_point_fm, irredundant_strict_fm
 
-from skewgb.polyhedra import find_point, implied, irredundant_strict
+from skewgb.polyhedra import find_point, irredundant_strict
 
 
 def _evaluate(form, point):
@@ -48,12 +48,6 @@ class TestFindPoint:
 
 
 class TestImplication:
-    def test_positive_combination_is_implied(self):
-        assert implied(2, [], [], [(1, 1), (0, 1)], (1, 2), True)
-
-    def test_unrelated_not_implied(self):
-        assert not implied(2, [], [], [(1, 1), (0, 1)], (1, 0), True)
-
     def test_redundancy_removal(self):
         kept = irredundant_strict(2, [], [(1, 1), (0, 1), (1, 2), (2, 3)])
         assert sorted(kept) == [

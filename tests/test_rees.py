@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from skewgb import (
+    PresentationError,
     RegionError,
     WeightVector,
     dehomogenize,
@@ -120,3 +121,31 @@ class TestHomogenize:
     def test_zero_rejected(self):
         with pytest.raises(Exception):
             homogenize(A1, WeightVector.for_ring(A1, [1, 1]), A1.zero())
+
+
+class TestRingMismatch:
+    """A Rees ring, element or base of another ring or weight is refused,
+    not read as if it matched."""
+
+    def test_rees_ring_of_another_weight_rejected(self):
+        f = A1.y(1) ** 2 - A1.x(1)
+        rz = _rees(A1, [1, 3])
+        with pytest.raises(RegionError):
+            homogenize(A1, WeightVector.for_ring(A1, [1, 1]), f, rz)
+        R = rz.ring
+        assert homogenize(A1, rz.weight, f, rz) == R.y(1) ** 2 - rz.x0() ** 5 * R.x(2)
+
+    def test_element_of_another_ring_rejected(self):
+        rz = _rees(A1, [1, 1])
+        f = A2.one() - A2.x(1) * A2.y(2)
+        with pytest.raises(PresentationError):
+            homogenize(A1, rz.weight, f, rz)
+        with pytest.raises(PresentationError):
+            homogenize(A2, WeightVector.for_ring(A2, [1, 1, 1, 1]), f, rz)
+
+    def test_dehomogenize_into_another_ring_rejected(self):
+        rz = _rees(A1, [1, 1])
+        h = homogenize(A1, rz.weight, A1.y(1) ** 2 - A1.x(1), rz)
+        assert dehomogenize(h, A1) == A1.y(1) ** 2 - A1.x(1)
+        with pytest.raises(PresentationError):
+            dehomogenize(h, A2)

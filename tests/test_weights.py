@@ -1,38 +1,57 @@
 """Weight filtrations, initial forms and the polynomial region."""
 
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import (
+    pr_forms_by_entries,
+    pr_sample_positive_by_entries,
+    validate_order_by_entries,
+)
 
 from skewgb import (
+    KINDS,
+    HalfspaceSystem,
+    MonomialOrder,
     RegionError,
     WeightVector,
+    commutative_presentation,
     degree,
     initial_form,
+    parse_problem,
+    parse_problem_file,
     pr_contains,
     pr_halfspaces,
     pr_sample_positive,
+    rees_presentation,
     sl2_presentation,
+    validate_order,
     weight_degree,
     weyl_presentation,
 )
 from skewgb import weights
-from skewgb.weights import NEG_INF, denominator_lcm
+from skewgb.weights import NEG_INF
+
+from test_kernel import heisenberg, vector_fields
 
 A1 = weyl_presentation(1)
 A2 = weyl_presentation(2)
 SL2 = sl2_presentation()
-
-
-def test_denominator_lcm():
-    assert denominator_lcm([]) == 1
-    assert denominator_lcm([Fraction(1, 4), Fraction(-5, 6), Fraction(3)]) == 12
-    assert denominator_lcm([Fraction(0), 2]) == 1
+PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "problems"
 
 
 class TestWeightVector:
+    def test_den_is_lcm_of_denominators(self):
+        assert WeightVector([], []).den == 1
+        w = WeightVector([Fraction(1, 4), Fraction(-5, 6)], [Fraction(3)])
+        assert w.den == 12
+        assert w._integral_scale().entries == (3, -10, 36)
+        assert WeightVector([Fraction(0)], [2]).den == 1
+
     def test_shape_check(self):
         with pytest.raises(RegionError):
             WeightVector.for_ring(A2, [1, 1, 1])
@@ -176,3 +195,77 @@ class TestPolynomialRegion:
         Q = sl2_presentation()
         assert pr_halfspaces(Q) == pr_halfspaces(P)
         assert len(builds) == 2
+
+
+def _with_rees(bases):
+    """The rings, and the Rees ring of each at its sample weight and at up
+    to two more integral weights of PR(R), mixed-sign ones included."""
+    rng = random.Random(19)
+    rings = dict(bases)
+    for name, P in bases.items():
+        ws = [pr_sample_positive(P)]
+        for _ in range(60):
+            w = WeightVector.for_ring(P, [rng.randint(-3, 5) for _ in range(P.m + P.n)])
+            if len(ws) < 3 and w not in ws and pr_contains(P, w):
+                ws.append(w)
+        for w in ws:
+            rings[f"rees({name}){w}"] = rees_presentation(P, w).ring
+    return rings
+
+
+# shipped, problem-file and test rings, and Rees rings of all of them
+RELATION_RINGS = _with_rees(
+    {
+        "weyl1": A1,
+        "weyl2": A2,
+        "weyl3": weyl_presentation(3),
+        "sl2": SL2,
+        "poly2+1": commutative_presentation(2, 1),
+        "vector_fields": vector_fields(),
+        "heisenberg": heisenberg(),
+        "q1=x1": parse_problem("ring: custom 1 1\nq1 1 1: x1\n").ring,
+        "q1=x1^2": parse_problem("ring: custom 1 1\nq1 1 1: x1^2\n").ring,
+        **{p.stem: parse_problem_file(str(p)).ring for p in sorted(PROBLEMS.glob("*.txt"))},
+    }
+)
+
+
+def _weighted_orders(P, w):
+    for kind in KINDS:
+        yield MonomialOrder(kind)
+        yield MonomialOrder(kind, w)
+        yield MonomialOrder(kind, w.scale(-1))
+
+
+class TestRelationTermReaders:
+    """PR(R), (M1)/(M2) and the sample weight agree with the table-entry
+    oracles on every ring."""
+
+    def test_pr_halfspaces(self):
+        for name, P in RELATION_RINGS.items():
+            assert pr_halfspaces(P) == HalfspaceSystem(P.m, P.n, pr_forms_by_entries(P)), name
+
+    def test_pr_sample_positive(self):
+        for name, P in RELATION_RINGS.items():
+            assert pr_sample_positive(P).entries == pr_sample_positive_by_entries(P), name
+
+    def test_validate_order(self):
+        for name, P in RELATION_RINGS.items():
+            w = pr_sample_positive(P)
+            for order in _weighted_orders(P, w):
+                assert validate_order(P, order) == validate_order_by_entries(P, order), name
+            # w weighs every term below its word, so -w fails whenever a
+            # relation has a term
+            relations = bool(pr_halfspaces(P).strict)
+            for kind in KINDS:
+                assert validate_order(P, MonomialOrder(kind, w)), name
+                assert validate_order(P, MonomialOrder(kind, w.scale(-1))) is not relations, name
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(RELATION_RINGS)), st.sampled_from(KINDS), st.data())
+    def test_validate_order_drawn_weights(self, name, kind, data):
+        P = RELATION_RINGS[name]
+        entry = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=3)
+        entries = data.draw(st.lists(entry, min_size=P.m + P.n, max_size=P.m + P.n))
+        order = MonomialOrder(kind, WeightVector.for_ring(P, entries))
+        assert validate_order(P, order) == validate_order_by_entries(P, order)
