@@ -46,7 +46,6 @@ from .fan import (
     walk,
 )
 from .groebner import (
-    GroebnerBasis,
     MonomialIdeal,
     buchberger,
     groebner_wrt_weight,
@@ -94,7 +93,6 @@ __all__ = [
     "BudgetExceeded",
     "CharacteristicIdeal",
     "ComponentReport",
-    "GroebnerBasis",
     "GroebnerCone",
     "GroebnerFan",
     "HalfspaceSystem",

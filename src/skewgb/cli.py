@@ -3,9 +3,9 @@
 Subcommands: gb, charvar, fan, walk, pr, gkdim, universal, verify.
 Problem files use the stanza format documented in docs/format.md.
 Exit codes: 0 success, 2 parse error (a missing weight included), 3
-region error, 4 budget exceeded, 1 anything else.  Budgets can be
-overridden through the SKEWGB_MAX_PAIRS / SKEWGB_MAX_STEPS environment
-variables.
+region error, 4 budget exceeded, 1 anything else.  The SKEWGB_MAX_PAIRS /
+SKEWGB_MAX_STEPS environment variables are the only way to override the
+completion budgets.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from .charvar import gk_dim, verify_component_bound
 from .errors import BudgetExceeded, ParseError, RegionError, SkewGbError
-from .fan import enumerate_fan, universal_gb, walk
+from .fan import _MAX_CONES, enumerate_fan, universal_gb, walk
 from .groebner import buchberger, groebner_wrt_weight
 from .orders import KINDS, MonomialOrder
 from .parsing import Problem, parse_problem_file, parse_weight
@@ -49,10 +49,9 @@ def cmd_gb(args) -> int:
     kind = args.order or problem.order_kind
     w = _weight_flag(problem, args.weight)
     if w is None:
-        gb = buchberger(problem.ring, problem.generators, MonomialOrder(kind))
-        elements = list(gb.elements)
+        elements = buchberger(problem.ring, problem.generators, MonomialOrder(kind))
     else:
-        elements, _ord = groebner_wrt_weight(problem.ring, problem.generators, w, kind=kind)
+        elements = groebner_wrt_weight(problem.ring, problem.generators, w, kind=kind)
     lines = [str(g) for g in elements]
     _emit(args, {"basis": lines}, "\n".join(lines) if lines else "<0>")
     return EXIT_OK
@@ -198,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=None)
 
     p = add("fan", cmd_fan)
-    p.add_argument("--max-cones", type=int, default=512)
+    p.add_argument("--max-cones", type=int, default=_MAX_CONES)
     p.add_argument("--seed", default=None, help="comma-separated generic start weight")
 
     p = add("walk", cmd_walk)

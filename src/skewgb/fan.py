@@ -20,7 +20,7 @@ from .errors import BudgetExceeded, RegionError, SkewGbError
 from .groebner import _Bases, _dehomogenized
 from .orders import MonomialOrder
 from .polyhedra import _primitive, find_point, irredundant_strict
-from .rees import homogenize, rees_presentation
+from .rees import _positive_rees, homogenize
 from .ring import RingPresentation, SkewPoly
 from .weights import (
     WeightVector,
@@ -552,16 +552,17 @@ def universal_gb(P: RingPresentation, gens: Sequence[SkewPoly]) -> List[SkewPoly
     """A finite universal Groebner basis: union of the marker bases of
     all maximal cones of the Groebner fan of the homogenized ideal,
     dehomogenized.  The fan pass shares its weighted bases, so none is
-    computed twice within the call."""
+    computed twice within the call.  A fan cut at its cone budget raises
+    ``BudgetExceeded``: the union of its bases need not be universal."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    w_pos = pr_sample_positive(P)
-    rz = rees_presentation(P, w_pos)
-    hgens = [homogenize(P, w_pos, g, rz) for g in gens]
-    fan = enumerate_fan(rz.ring, hgens)
+    rz = _positive_rees(P)
+    fan = enumerate_fan(rz.ring, [homogenize(rz, g) for g in gens])
+    if not fan.complete:
+        raise BudgetExceeded("fan cones", len(fan.cones))
     union = _dehomogenized(
-        P, (g for cone in fan.cones for g in cone.basis), MonomialOrder("grevlex")
+        rz, (g for cone in fan.cones for g in cone.basis), MonomialOrder("grevlex")
     )
     union.sort(key=lambda g: sorted(g.terms))
     return union

@@ -4,25 +4,24 @@ initial ideals for term orders and weight vectors.
 The paper-level theory reduces every weight-vector computation to a
 term-order computation, possibly after Rees homogenization: a weight
 with negative entries gives a non-term order, which is never iterated
-directly; instead the generators are homogenized, the completion runs on
-the Rees ring under a strictly positive shifted weight that induces the
-same initial forms on homogeneous input, and the result is
-dehomogenized.  That order breaks ties by the base order on the
-variables of R before the x0 exponent, so on homogeneous elements it is
-the order of R refined by w, and in_w(I) is the interreduced initial
-forms of the one basis at every sign of w.  Every completion goes through ``buchberger``,
-which skips S-pairs by the Gebauer-Moller criteria B, M and F (sound in
-these rings of solvable type, since they rest only on the chain
-criterion) and by Buchberger's coprime criterion only when the ring is
-commutative; the reduced basis is unique, so the criteria change only
-how many pairs are reduced.  Every completion is bounded by a pair
-budget and a reduction-step budget and raises ``BudgetExceeded`` rather
-than returning a truncated answer.  The budgets are the explicit
-``max_pairs`` / ``max_steps`` arguments of ``buchberger`` and
-``normal_form`` when given, else the ``SKEWGB_MAX_PAIRS`` /
-``SKEWGB_MAX_STEPS`` environment variables, else the defaults below;
-every other function, weighted bases included, runs under those
-environment budgets.
+directly; instead the generators are homogenized in the one Rees ring,
+built at ``pr_sample_positive(P)`` by ``rees._positive_rees``, the
+completion runs there under a strictly positive shifted weight that
+induces the same initial forms on homogeneous input, and the result is
+dehomogenized; both conversions read base and weight from that ring.
+That order breaks ties by the base order on the variables of R before
+the x0 exponent, so on homogeneous elements it is the order of R
+refined by w, and in_w(I) is the interreduced initial forms of the one
+basis at every sign of w.  Every completion goes through
+``buchberger``, which skips S-pairs by the Gebauer-Moller criteria B, M
+and F (sound in these rings of solvable type, since they rest only on
+the chain criterion) and by Buchberger's coprime criterion only when
+the ring is commutative; the reduced basis is unique, so the criteria
+change only how many pairs are reduced.  Every completion is bounded by
+a pair budget and a reduction-step budget and raises ``BudgetExceeded``
+rather than returning a truncated answer.  The budgets are the
+``SKEWGB_MAX_PAIRS`` / ``SKEWGB_MAX_STEPS`` environment variables when
+set, else the defaults below.
 """
 
 from __future__ import annotations
@@ -31,28 +30,21 @@ import heapq
 import math
 import os
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import BudgetExceeded, RegionError, SkewGbError
 from .kernel import _add_terms
 from .orders import MonomialOrder, validate_order
-from .rees import dehomogenize, homogenize, rees_presentation, strip_x0
+from .rees import ReesPresentation, _positive_rees, dehomogenize, homogenize, strip_x0
 from .ring import RingPresentation, SkewPoly
-from .weights import (
-    WeightVector,
-    initial_form,
-    pr_contains,
-    pr_sample_positive,
-)
+from .weights import WeightVector, initial_form, pr_contains
 
 DEFAULT_MAX_PAIRS = 100_000
 DEFAULT_MAX_STEPS = 200_000
 _SATURATION_ROUNDS = 25
 
 
-def _budget(name: str, default: int, explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
+def _budget(name: str, default: int) -> int:
     value = os.environ.get(name)
     return int(value) if value else default
 
@@ -146,38 +138,17 @@ class MonomialIdeal:
         return "<" + ", ".join(parts) + ">"
 
 
-class GroebnerBasis:
-    """A reduced Groebner basis with marked initial monomials."""
-
-    __slots__ = ("order", "elements", "leads")
-
-    def __init__(self, order: MonomialOrder, elements: Sequence[SkewPoly]):
-        self.order = order
-        self.elements = tuple(elements)
-        self.leads = tuple(order.leading_monomial(g) for g in self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def initial_ideal(self, m: int, n: int) -> MonomialIdeal:
-        return MonomialIdeal(m, n, self.leads)
-
-
 def normal_form(
     P: RingPresentation,
     f: SkewPoly,
     G: Sequence[SkewPoly],
     order: MonomialOrder,
-    max_steps: Optional[int] = None,
 ) -> SkewPoly:
     """Remainder of left division of f by G: no remainder monomial is
     divisible by any marked initial monomial of G."""
     if f.ring != P:
         raise SkewGbError("polynomial not over the given presentation")
-    limit = _budget("SKEWGB_MAX_STEPS", DEFAULT_MAX_STEPS, max_steps)
+    limit = _budget("SKEWGB_MAX_STEPS", DEFAULT_MAX_STEPS)
     kern = P.kernel()
     leads = []
     for g in G:
@@ -215,14 +186,14 @@ def _monic(f: SkewPoly, order: MonomialOrder) -> SkewPoly:
     return f.scale(1 / lc)
 
 
-def _interreduced(P, basis, order, max_steps=None) -> List[SkewPoly]:
+def _interreduced(P, basis, order) -> List[SkewPoly]:
     """The reduced basis of a monic Groebner basis, with no S-pair: each
     element in turn becomes its normal form modulo the others, a Groebner
     basis, so it is zero or keeps its monic lead; one pass suffices."""
     reduced = list(basis)
     for i, g in enumerate(basis):
         others = [h for k, h in enumerate(reduced) if k != i and h is not None]
-        r = normal_form(P, g, others, order, max_steps=max_steps)
+        r = normal_form(P, g, others, order)
         # keep an unchanged g itself: fan._cone_forms reads its term order
         reduced[i] = None if r.is_zero() else g if r == g else r
     return [g for g in reduced if g is not None]
@@ -242,10 +213,9 @@ def buchberger(
     P: RingPresentation,
     gens: Sequence[SkewPoly],
     order: MonomialOrder,
-    max_pairs: Optional[int] = None,
-    max_steps: Optional[int] = None,
-) -> GroebnerBasis:
-    """Reduced Groebner basis of the left ideal generated by gens.
+) -> List[SkewPoly]:
+    """Reduced Groebner basis of the left ideal generated by gens, monic
+    and sorted by leading monomial.
 
     Requires a validated multiplicative term order; a mixed-sign weight
     is handled by ``groebner_wrt_weight``, which runs this completion on
@@ -274,7 +244,7 @@ def buchberger(
         raise SkewGbError(f"buchberger requires a term order, not {order!r}")
     if not validate_order(P, order):
         raise SkewGbError("order violates (M1)/(M2) for this presentation")
-    pair_limit = _budget("SKEWGB_MAX_PAIRS", DEFAULT_MAX_PAIRS, max_pairs)
+    pair_limit = _budget("SKEWGB_MAX_PAIRS", DEFAULT_MAX_PAIRS)
     basis: List[SkewPoly] = []
     lead: List = []
     for g in gens:
@@ -324,45 +294,38 @@ def buchberger(
         s = _s_pair(P, basis[i], lead[i], basis[j], lead[j])
         if s.is_zero():
             continue
-        r = normal_form(P, s, basis, order, max_steps=max_steps)
+        r = normal_form(P, s, basis, order)
         if r.is_zero():
             continue
         r = _monic(r, order)
         basis.append(r)
         lead.append(order.leading_monomial(r))
         update(len(basis) - 1)
-    final = _interreduced(P, basis, order, max_steps)
+    final = _interreduced(P, basis, order)
     final.sort(key=lambda g: order.key(order.leading_monomial(g)))
-    return GroebnerBasis(order, final)
+    return final
 
 
 def initial_ideal_order(
     P: RingPresentation, gens: Sequence[SkewPoly], order: MonomialOrder
 ) -> MonomialIdeal:
     """Minimal generators of the initial monomial ideal in_ord(I)."""
-    gb = buchberger(P, gens, order)
-    return gb.initial_ideal(P.m, P.n)
+    basis = buchberger(P, gens, order)
+    return MonomialIdeal(P.m, P.n, [order.leading_monomial(g) for g in basis])
 
 
-def _rees_weight_order(
-    P: RingPresentation, w_int: WeightVector
-) -> Tuple[WeightVector, WeightVector]:
-    """Positive homogenization data for a mixed-sign weight.
-
-    Returns (w_plus, shifted) where w_plus is a positive integer vector
-    in PR(R) used to build the Rees ring and ``shifted`` is the strictly
-    positive weight (0, u, v) + lam * (1, w_plus) on the Rees variables.
-    On (1, w_plus)-homogeneous elements the lam-multiple is constant
-    degree-wise, so ``shifted`` induces exactly the (u, v) initial
-    forms, and ``_ReesOrder`` refines it to a term order.
+def _rees_weight_order(rz: ReesPresentation, w_int: WeightVector) -> WeightVector:
+    """The strictly positive weight (0, u, v) + lam * (1, w_plus) on the
+    variables of the Rees ring ``rz`` built at w_plus, for a mixed-sign
+    integral weight (u, v).  On (1, w_plus)-homogeneous elements the
+    lam-multiple is constant degree-wise, so it induces exactly the
+    (u, v) initial forms, and ``_ReesOrder`` refines it to a term order.
     """
-    w_plus = pr_sample_positive(P)
     wt = (0,) + w_int.ints
-    d = (1,) + w_plus.ints
+    d = (1,) + rz.weight.ints
     lam = max([0] + [math.ceil(Fraction(1 - wi, di)) for wi, di in zip(wt, d)])
-    shifted_entries = [wi + lam * di for wi, di in zip(wt, d)]
-    shifted = WeightVector(shifted_entries[: P.m + 1], shifted_entries[P.m + 1:])
-    return w_plus, shifted
+    shifted = [wi + lam * di for wi, di in zip(wt, d)]
+    return WeightVector(shifted[: rz.ring.m], shifted[rz.ring.m:])
 
 
 class _ReesOrder(MonomialOrder):
@@ -377,11 +340,12 @@ class _ReesOrder(MonomialOrder):
 
 
 def _dehomogenized(
-    P: RingPresentation, elements: Iterable[SkewPoly], order: MonomialOrder
+    rz: ReesPresentation, elements: Iterable[SkewPoly], order: MonomialOrder
 ) -> List[SkewPoly]:
-    """Rees-ring elements dehomogenized into P and made monic under
-    ``order``; zeros and repeats dropped, first seen first."""
-    images = (dehomogenize(g, P) for g in elements)
+    """Elements of the Rees ring ``rz`` dehomogenized into its base and
+    made monic under ``order``; zeros and repeats dropped, first seen
+    first."""
+    images = (dehomogenize(rz, g) for g in elements)
     return list(dict.fromkeys(_monic(d, order) for d in images if not d.is_zero()))
 
 
@@ -390,51 +354,48 @@ def groebner_wrt_weight(
     gens: Sequence[SkewPoly],
     w: WeightVector,
     kind: str = "grevlex",
-) -> Tuple[List[SkewPoly], MonomialOrder]:
-    """Groebner basis of I under the weight-refined order.
+) -> List[SkewPoly]:
+    """Groebner basis of I under the weight-refined order, sorted by
+    leading monomial.
 
     Nonnegative weights run directly (the refined order is a term
     order and the result is the reduced basis).  Weights with negative
-    entries go through a positively graded Rees ring: generators are
-    homogenized with respect to a positive vector of PR(R) and the
-    completion runs under the shifted strictly positive weight, which
-    restricts to the (u, v) comparison on homogeneous elements; the
-    completion is repeated until it is saturated with respect to x0.  Its
-    ties go to ``kind`` on the variables of R before x0 (``_ReesOrder``):
-    then it is the refined order on homogeneous elements, so the initial
-    forms of the result generate in_(u,v)(I), which with x0 in the
-    tie-break they may not.  The dehomogenized result is a Groebner basis
-    for (u, v) but need not be auto-reduced (full reduction under a
-    non-term order can diverge).
+    entries go through the one positively graded Rees ring, built at
+    ``pr_sample_positive(P)`` (``rees._positive_rees``): generators are
+    homogenized in it and the completion runs under the shifted strictly
+    positive weight, which restricts to the (u, v) comparison on
+    homogeneous elements; the completion is repeated until it is
+    saturated with respect to x0.  Its ties go to ``kind`` on the
+    variables of R before x0 (``_ReesOrder``): then it is the refined
+    order on homogeneous elements, so the initial forms of the result
+    generate in_(u,v)(I), which with x0 in the tie-break they may not.
+    The dehomogenized result is a Groebner basis for (u, v) but need not
+    be auto-reduced (full reduction under a non-term order can diverge).
     Each completion runs under the budgets of ``SKEWGB_MAX_PAIRS`` /
     ``SKEWGB_MAX_STEPS`` (see ``buchberger``).
     """
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
     w_int = w._integral_scale()
-    base = MonomialOrder(kind)
-    ord_w = base.refine(w_int)
+    ord_w = MonomialOrder(kind).refine(w_int)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        return [], ord_w
+        return []
     if w_int.is_nonnegative():
-        gb = buchberger(P, gens, ord_w)
-        return list(gb.elements), ord_w
-    w_plus, shifted = _rees_weight_order(P, w_int)
-    rz = rees_presentation(P, w_plus)
-    hgens = [homogenize(P, w_plus, g, rz) for g in gens]
-    ord_h = _ReesOrder(kind, shifted)
-    gb = buchberger(rz.ring, hgens, ord_h)
+        return buchberger(P, gens, ord_w)
+    rz = _positive_rees(P)
+    ord_h = _ReesOrder(kind, _rees_weight_order(rz, w_int))
+    basis = buchberger(rz.ring, [homogenize(rz, g) for g in gens], ord_h)
     for _ in range(_SATURATION_ROUNDS):
-        stripped = [strip_x0(g) for g in gb.elements]
-        if tuple(stripped) == gb.elements:
+        stripped = [strip_x0(g) for g in basis]
+        if stripped == basis:
             break
-        gb = buchberger(rz.ring, stripped, ord_h)
+        basis = buchberger(rz.ring, stripped, ord_h)
     else:
         raise BudgetExceeded("x0-saturation rounds", _SATURATION_ROUNDS)
-    result = _dehomogenized(P, gb.elements, ord_w)
+    result = _dehomogenized(rz, basis, ord_w)
     result.sort(key=lambda g: ord_w.key(ord_w.leading_monomial(g)))
-    return result, ord_w
+    return result
 
 
 def _initial_ideal_of(P: RingPresentation, basis, w: WeightVector):
@@ -470,7 +431,7 @@ class _Bases:
         """(basis, init) at a weight of PR(R), init the canonical in_w(I)."""
         found = self._memo.get(w.entries)
         if found is None:
-            basis, _order = groebner_wrt_weight(self.ring, self.gens, w)
+            basis = groebner_wrt_weight(self.ring, self.gens, w)
             init = _initial_ideal_of(self.ring, basis, w)
             found = self._memo[w.entries] = (tuple(basis), tuple(init))
         return found

@@ -4,6 +4,9 @@ The Rees ring adjoins a central degree-1 commuting generator x0 (stored
 as the first x-variable) and replaces each relation table entry by its
 weight homogenization; membership of the weight in PR(R) guarantees all
 x0 exponents are nonnegative.  The substitution x0 = 1 recovers R.
+Mixed-sign weights are reached through one Rees ring, built at
+``pr_sample_positive(P)`` by ``_positive_rees``; ``homogenize`` and
+``dehomogenize`` read base and weight from the Rees ring they are given.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 from .errors import PresentationError, RegionError, SkewGbError
 from .kernel import _accumulate
 from .ring import RingPresentation, SkewPoly
-from .weights import WeightVector, _top_split, pr_contains
+from .weights import WeightVector, _top_split, pr_contains, pr_sample_positive
 
 
 class ReesPresentation:
@@ -98,41 +101,35 @@ def rees_presentation(P: RingPresentation, w: WeightVector) -> ReesPresentation:
     return ReesPresentation(P, w, ring)
 
 
-def homogenize(P: RingPresentation, w: WeightVector, f: SkewPoly, rees: ReesPresentation | None = None) -> SkewPoly:
-    """Weight homogenization of a nonzero f into the Rees ring.
+def _positive_rees(P: RingPresentation) -> ReesPresentation:
+    """The one Rees ring through which mixed-sign weights are reached,
+    built at the positive weight ``pr_sample_positive(P)``."""
+    return rees_presentation(P, pr_sample_positive(P))
 
-    A ``rees`` given by the caller must be the Rees ring of P at w.
-    """
-    if f.ring != P:
-        raise PresentationError("element does not belong to the given presentation")
-    if rees is None:
-        rees = rees_presentation(P, w)
-    elif rees.base != P:
-        raise PresentationError(f"Rees ring of {rees.base.name} given for {P.name}")
-    elif rees.weight != w:
-        # building rees checked its weight; w is checked only by matching it
-        raise RegionError(f"Rees ring built for weight {rees.weight}, not {w}")
+
+def homogenize(rees: ReesPresentation, f: SkewPoly) -> SkewPoly:
+    """Weight homogenization of a nonzero element of ``rees.base`` into
+    the Rees ring, at the weight ``rees`` was built at."""
+    if f.ring != rees.base:
+        raise PresentationError(f"element does not belong to {rees.base.name}")
     if f.is_zero():
         raise RegionError("cannot homogenize the zero polynomial")
-    # w is integral (checked with rees), so scaled_dot is the exact degree
-    winners, _rest, degs = _top_split(f, w)
+    # rees.weight is integral, so scaled_dot is the exact degree
+    winners, _rest, degs = _top_split(f, rees.weight)
     top = degs[winners[0]]
     return SkewPoly(
         rees.ring, {((top - degs[(a, b)],) + a, b): c for (a, b), c in f.terms.items()}
     )
 
 
-def dehomogenize(f: SkewPoly, base: RingPresentation) -> SkewPoly:
-    """Image of a Rees-ring element under x0 -> 1, in standard form."""
-    R = f.ring
-    if (R.m, R.n) != (base.m + 1, base.n):
-        raise PresentationError(
-            f"ring with {R.m} x's and {R.n} y's is no Rees ring of {base.name}"
-        )
+def dehomogenize(rees: ReesPresentation, f: SkewPoly) -> SkewPoly:
+    """Image of an element of the Rees ring under x0 -> 1, in its base."""
+    if f.ring != rees.ring:
+        raise PresentationError(f"element does not belong to the Rees ring of {rees.base.name}")
     terms = {}
     for (a, b), c in f.terms.items():
         _accumulate(terms, (a[1:], b), c)
-    return SkewPoly(base, terms)
+    return SkewPoly(rees.base, terms)
 
 
 def strip_x0(f: SkewPoly) -> SkewPoly:

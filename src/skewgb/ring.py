@@ -73,6 +73,7 @@ class RingPresentation:
         "_graded",
         "_halfspaces",
         "var_names",
+        "_hash",
     )
 
     def __init__(self, m: int, n: int, q1=None, q2=None, name: str = "custom"):
@@ -132,6 +133,9 @@ class RingPresentation:
             if (j, i) not in table2:
                 table2[(j, i)] = tuple((k, -c) for k, c in canon)
         self._q2 = {k: v for k, v in sorted(table2.items()) if v}
+        # the tables never change, so their hash is taken once; equality
+        # and hashing leave out var_names, which Rees rings rename
+        self._hash = hash((m, n, self._q1, tuple(self._q2.items())))
         self._kernel = None
         self._graded = None
         self._halfspaces = None  # PR(R), built by weights.pr_halfspaces
@@ -171,14 +175,15 @@ class RingPresentation:
     def is_commutative(self) -> bool:
         return all(not row or all(not e for e in row) for row in self._q1) and not self._q2
 
-    def _canonical(self):
-        return (self.m, self.n, self._q1, tuple(sorted(self._q2.items())))
-
     def __eq__(self, other):
-        return isinstance(other, RingPresentation) and self._canonical() == other._canonical()
+        return self is other or (
+            isinstance(other, RingPresentation)
+            and self._hash == other._hash
+            and (self.m, self.n, self._q1, self._q2) == (other.m, other.n, other._q1, other._q2)
+        )
 
     def __hash__(self):
-        return hash(self._canonical())
+        return self._hash
 
     def __repr__(self):
         return f"RingPresentation({self.name!r}, m={self.m}, n={self.n})"

@@ -28,7 +28,7 @@ The oracles work through the public API only.
 
 from fractions import Fraction
 
-from skewgb import MonomialOrder, buchberger, initial_form, multiply, normal_form
+from skewgb import MonomialIdeal, MonomialOrder, buchberger, initial_form, multiply, normal_form
 
 
 def expand_tokens(m, xexp, yexp):
@@ -127,15 +127,17 @@ def count_monomials_outside(gens, weights, upto):
     return counts
 
 
-def ideal_member_comm(S, f, gb):
-    """Whether f lies in the ideal of S with Groebner basis gb."""
-    return normal_form(S, f, list(gb.elements), gb.order).is_zero()
+def ideal_member_comm(S, f, gb, order):
+    """Whether f lies in the ideal of S with Groebner basis gb under order."""
+    return normal_form(S, f, gb, order).is_zero()
 
 
 def initial_monomial_ideal_comm(S, gens):
     """The grevlex initial monomial ideal of the S-ideal of gens, by a
     fresh Buchberger completion."""
-    return buchberger(S, list(gens), MonomialOrder("grevlex")).initial_ideal(S.m, S.n)
+    order = MonomialOrder("grevlex")
+    gb = buchberger(S, list(gens), order)
+    return MonomialIdeal(S.m, S.n, [order.leading_monomial(g) for g in gb])
 
 
 def initial_ideal_by_completion(P, basis, w):
@@ -146,7 +148,7 @@ def initial_ideal_by_completion(P, basis, w):
     if not forms:
         return []
     gb = buchberger(P.graded(), forms, MonomialOrder("grevlex"))
-    return sorted(gb.elements, key=lambda h: sorted(h.terms))
+    return sorted(gb, key=lambda h: sorted(h.terms))
 
 
 def ideals_equal_comm(S, gens_a, gens_b):
@@ -158,8 +160,8 @@ def ideals_equal_comm(S, gens_a, gens_b):
     order = MonomialOrder("grevlex")
     gb_a = buchberger(S, gens_a, order)
     gb_b = buchberger(S, gens_b, order)
-    return all(ideal_member_comm(S, f, gb_b) for f in gens_a) and all(
-        ideal_member_comm(S, f, gb_a) for f in gens_b
+    return all(ideal_member_comm(S, f, gb_b, order) for f in gens_a) and all(
+        ideal_member_comm(S, f, gb_a, order) for f in gens_b
     )
 
 

@@ -11,6 +11,7 @@ from importlib.metadata import EntryPoint
 import pytest
 
 import skewgb
+from skewgb import cli, fan
 from skewgb.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -188,6 +189,17 @@ class TestExitCodes:
         )
         code, _, err = run(["gb", str(f)], capsys)
         assert code == 4 and "budget" in err
+
+    def test_partial_universal_fan_is_a_budget_error(self, capsys, monkeypatch):
+        # a fan cut at its cone budget gives no universal basis
+        real = fan.enumerate_fan
+        monkeypatch.setattr(fan, "enumerate_fan", lambda P, gens: real(P, gens, max_cones=1))
+        code, out, err = run(["universal", EXAMPLE_B], capsys)
+        assert code == 4 and out == "" and "fan cones budget exceeded (limit 1)" in err
+
+    def test_fan_cone_budget_default(self):
+        args = cli._build_parser().parse_args(["fan", EXAMPLE_B])
+        assert args.max_cones == fan._MAX_CONES
 
     def test_fan_seed_errors(self, capsys):
         code, out, err = run(["fan", PARABOLA, "--seed", "2,1"], capsys)

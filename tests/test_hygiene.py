@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, every import
 sits at module level, no public function takes ``**kwargs``, one route
-leads from a weight to its weighted basis and initial ideal, and each
-repeated idiom has one home."""
+leads from a weight to its weighted basis and initial ideal, each
+repeated idiom has one home, and no value another source fixes is
+restated."""
 
 import ast
 import pathlib
@@ -225,13 +226,44 @@ def test_bundled_basis_and_certificate_helpers_are_gone():
 
 
 def definitions(names):
-    """(name, module) of each function definition of one of ``names``."""
+    """(name, module) of each function or class definition of one of ``names``."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return sorted(
         (node.name, path.name)
         for path in ALL_MODULES
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names
+        if isinstance(node, defs) and node.name in names
     )
+
+
+def parameters(names):
+    """(function, parameter, module) of each function parameter named one
+    of ``names``."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return sorted(
+        (node.name, arg.arg, path.name)
+        for path in ALL_MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, funcs)
+        for arg in node.args.args + node.args.kwonlyargs
+        if arg.arg in names
+    )
+
+
+# what another source already fixes is not restated: the one Rees ring is
+# built at the positive sample weight in one place, the budgets come from
+# the environment alone, and a basis is a plain list
+def test_rees_ring_built_only_at_the_positive_sample():
+    assert routes({"rees_presentation"}) == {("rees_presentation", "rees.py", "_positive_rees")}
+    assert [r for r in routes({"pr_sample_positive"}) if r[1] == "groebner.py"] == []
+
+
+def test_budgets_are_no_parameters():
+    assert parameters({"max_pairs", "max_steps"}) == []
+
+
+def test_basis_wrapper_is_gone():
+    assert definitions({"GroebnerBasis"}) == []
 
 
 # each repeated idiom has one home: the relation tables are read entry by

@@ -104,7 +104,7 @@ class TestMultiplicativeValidity:
         rz = rees_presentation(A2, WeightVector.for_ring(A2, [1, 1, 1, 1]))
         from skewgb.groebner import _rees_weight_order
 
-        _w_plus, shifted = _rees_weight_order(A2, w)
+        shifted = _rees_weight_order(rz, w)
         assert shifted.is_positive()
         order = MonomialOrder("grevlex").refine(shifted)
         assert order.is_term_order

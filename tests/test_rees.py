@@ -9,6 +9,7 @@ from skewgb import (
     PresentationError,
     RegionError,
     WeightVector,
+    commutative_presentation,
     dehomogenize,
     homogenize,
     pr_sample_positive,
@@ -19,6 +20,7 @@ from skewgb import (
     weight_degree,
     weyl_presentation,
 )
+from skewgb.rees import _positive_rees
 from skewgb.weights import initial_form
 
 from test_ring import random_poly
@@ -76,21 +78,20 @@ class TestHomogenize:
             f = random_poly(A2, rng)
             if f.is_zero():
                 continue
-            h = homogenize(A2, w, f, rz)
-            assert dehomogenize(h, A2) == f
+            h = homogenize(rz, f)
+            assert dehomogenize(rz, h) == f
 
     def test_result_is_homogeneous(self):
         w = WeightVector.for_ring(A2, [2, 2, -1, -1])
         rz = rees_presentation(A2, w)
         f = A2.x(1) * A2.y(1) + A2.y(2) ** 2 + A2.one()
-        h = homogenize(A2, w, f, rz)
+        h = homogenize(rz, f)
         degs = {rz.extended_weight.dot(key) for key in h.terms}
         assert len(degs) == 1
 
     def test_homogenize_example_values(self):
-        w = WeightVector.for_ring(A2, [2, 2, -1, -1])
-        rz = rees_presentation(A2, w)
-        h = homogenize(A2, w, A2.y(1) - A2.one(), rz)
+        rz = _rees(A2, [2, 2, -1, -1])
+        h = homogenize(rz, A2.y(1) - A2.one())
         assert h == rz.x0() * rz.ring.y(1) - rz.ring.one()
 
     def test_products_of_homogenizations(self):
@@ -103,7 +104,7 @@ class TestHomogenize:
             g = random_poly(A1, rng)
             if f.is_zero() or g.is_zero() or (f * g).is_zero():
                 continue
-            hf, hg, hfg = (homogenize(A1, w, p, rz) for p in (f, g, f * g))
+            hf, hg, hfg = (homogenize(rz, p) for p in (f, g, f * g))
             prod = hf * hg
             drop = weight_degree(f, w) + weight_degree(g, w) - weight_degree(
                 f * g, w
@@ -119,33 +120,45 @@ class TestHomogenize:
         assert strip_x0(R.zero()).is_zero()
 
     def test_zero_rejected(self):
-        with pytest.raises(Exception):
-            homogenize(A1, WeightVector.for_ring(A1, [1, 1]), A1.zero())
+        with pytest.raises(RegionError):
+            homogenize(_rees(A1, [1, 1]), A1.zero())
 
 
 class TestRingMismatch:
-    """A Rees ring, element or base of another ring or weight is refused,
-    not read as if it matched."""
+    """An element of another ring than the Rees ring's base, or than the
+    Rees ring itself, is refused, not read as if it matched."""
 
     def test_rees_ring_of_another_weight_rejected(self):
         f = A1.y(1) ** 2 - A1.x(1)
         rz = _rees(A1, [1, 3])
-        with pytest.raises(RegionError):
-            homogenize(A1, WeightVector.for_ring(A1, [1, 1]), f, rz)
         R = rz.ring
-        assert homogenize(A1, rz.weight, f, rz) == R.y(1) ** 2 - rz.x0() ** 5 * R.x(2)
+        h = homogenize(rz, f)
+        assert h == R.y(1) ** 2 - rz.x0() ** 5 * R.x(2)
+        with pytest.raises(PresentationError):
+            dehomogenize(_rees(A1, [1, 1]), h)
 
     def test_element_of_another_ring_rejected(self):
         rz = _rees(A1, [1, 1])
         f = A2.one() - A2.x(1) * A2.y(2)
         with pytest.raises(PresentationError):
-            homogenize(A1, rz.weight, f, rz)
-        with pytest.raises(PresentationError):
-            homogenize(A2, WeightVector.for_ring(A2, [1, 1, 1, 1]), f, rz)
+            homogenize(rz, f)
 
     def test_dehomogenize_into_another_ring_rejected(self):
         rz = _rees(A1, [1, 1])
-        h = homogenize(A1, rz.weight, A1.y(1) ** 2 - A1.x(1), rz)
-        assert dehomogenize(h, A1) == A1.y(1) ** 2 - A1.x(1)
+        h = homogenize(rz, A1.y(1) ** 2 - A1.x(1))
+        assert dehomogenize(rz, h) == A1.y(1) ** 2 - A1.x(1)
         with pytest.raises(PresentationError):
-            dehomogenize(h, A2)
+            dehomogenize(_rees(A2, [1, 1, 1, 1]), h)
+        # the Rees ring of the commutative ring on x1, y1 has the shape of
+        # A1's: read by shape alone, x0^2 + x1*y1 would map to x1*y1 + 1
+        h = rz.x0() ** 2 + rz.ring.x(2) * rz.ring.y(1)
+        with pytest.raises(PresentationError):
+            dehomogenize(_rees(commutative_presentation(1, 1), [1, 1]), h)
+
+
+class TestPositiveRees:
+    def test_built_at_the_positive_sample_weight(self):
+        for P in (A1, A2, SL2):
+            rz = _positive_rees(P)
+            assert rz == rees_presentation(P, pr_sample_positive(P))
+            assert rz.ring == rees_presentation(P, pr_sample_positive(P)).ring

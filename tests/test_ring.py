@@ -11,8 +11,10 @@ from skewgb import (
     PresentationError,
     RingPresentation,
     SkewPoly,
+    WeightVector,
     commutative_presentation,
     multiply,
+    rees_presentation,
     sl2_presentation,
     validate_presentation,
     weyl_presentation,
@@ -104,6 +106,37 @@ class TestPresentations:
             RingPresentation(1, 1, q1={key: {(0,): 1}})
         with pytest.raises(PresentationError, match="Q2 index"):
             RingPresentation(1, 1, q2={key: {((0,), (0,)): 1}})
+
+
+class TestRingEquality:
+    """Rings compare and hash by their tables alone, read from a key
+    fixed when the tables are built."""
+
+    def test_tables_built_twice_are_equal(self):
+        q1 = {(1, 1): {(2,): 1}}
+        pairs = [
+            (weyl_presentation(2), weyl_presentation(2)),
+            (sl2_presentation(), sl2_presentation()),
+            (RingPresentation(1, 1, q1=q1), RingPresentation(1, 1, q1=q1)),
+        ]
+        for P, Q in pairs:
+            assert P is not Q and P == Q and hash(P) == hash(Q)
+
+    def test_rees_ring_built_again_is_equal(self):
+        w = WeightVector.for_ring(A2, [2, 2, -1, -1])
+        R, S = rees_presentation(A2, w).ring, rees_presentation(A2, w).ring
+        assert R is not S and R == S and hash(R) == hash(S)
+        # the names Rees rings give their variables are not compared
+        assert R.var_names != RingPresentation(R.m, R.n).var_names
+
+    def test_different_tables_are_unequal(self):
+        rings = [A1, A2, SL2, commutative_presentation(1, 1), commutative_presentation(2, 1)]
+        for w in ([1, 1], [1, 3]):
+            rings.append(rees_presentation(A1, WeightVector.for_ring(A1, w)).ring)
+        for i, P in enumerate(rings):
+            assert P == P
+            for Q in rings[i + 1:]:
+                assert P != Q
 
 
 class TestArithmetic:
