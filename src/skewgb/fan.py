@@ -42,21 +42,14 @@ def _diff(e, f) -> Tuple[int, ...]:
     return tuple(map(sub, _mono_vec(e), _mono_vec(f)))
 
 
-def _canonical_eq(form) -> Tuple[int, ...]:
-    form = _primitive(form)
-    lead = next((x for x in form if x), None)
-    if lead is not None and lead < 0:
-        form = tuple(-x for x in form)
-    return form
-
-
 class GroebnerCone:
     """The equivalence class of a weight, with its defining constraints.
 
     ``equalities`` hold with value 0 on the cone and ``strict`` forms are
-    positive; both are normalized exponent-difference forms in the m + n
-    weight coordinates, integer tuples of content 1 (they compare and
-    hash equal to the same tuples of ``Fraction``s).  ``basis`` is the
+    positive; both are integer tuples of content 1 in the m + n weight
+    coordinates (equal to the same tuples of ``Fraction``s).  The
+    equalities are the reduced echelon basis of their span, each pivot
+    positive, so no order of terms shows in them.  ``basis`` is the
     marked Groebner basis that cut the cone out and ``initial_gens`` the
     canonical generators of the shared initial ideal.  ``positive_rep``
     is a positive weight of the class, certified by its initial ideal, or
@@ -99,10 +92,9 @@ class GroebnerCone:
         return not self.equalities
 
     def key(self):
-        """Canonical identifier: the initial ideal's generator supports."""
-        return tuple(
-            tuple(sorted(h.terms)) for h in self.initial_gens
-        )
+        """Canonical identifier: the initial ideal's generators as sorted
+        (monomial, coefficient) pairs."""
+        return tuple(tuple(sorted(h.terms.items())) for h in self.initial_gens)
 
     def contains(self, w: WeightVector, closure: bool = False) -> bool:
         w.check(self.ring)
@@ -139,21 +131,14 @@ class GroebnerCone:
 
 
 def _cone_forms(P: RingPresentation, basis, w: WeightVector):
-    """Equalities and strict forms of the class of w cut out by a basis."""
+    """Equalities and strict forms of the class of w cut out by a basis;
+    only the span of the equalities is canonical."""
     equalities = []
     strict = []
     for g in basis:
         winners, rest, _dots = _top_split(g, w)
-        e0 = winners[0]
-        for e in winners[1:]:
-            form = _canonical_eq(_diff(e, e0))
-            if any(form):
-                equalities.append(form)
-        for e in winners:
-            for f in rest:
-                form = _primitive(_diff(e, f))
-                if any(form):
-                    strict.append(form)
+        equalities.extend(_diff(e, winners[0]) for e in winners[1:])
+        strict.extend(_primitive(_diff(e, f)) for e in winners for f in rest)
     strict.extend(pr_halfspaces(P).strict)
     return equalities, strict
 
@@ -208,9 +193,8 @@ def _cone(bases: _Bases, w: WeightVector) -> GroebnerCone:
         basis = bases.at(rep)[0]
         forms = _cone_forms(P, basis, w_int)
     equalities, strict = forms
-    eqs = sorted(set(equalities))
     # irredundant_strict prunes in input order, so give it a canonical one
-    stricts = irredundant_strict(P.m + P.n, eqs, sorted(set(strict)))
+    eqs, stricts = irredundant_strict(P.m + P.n, equalities, sorted(set(strict)))
     return GroebnerCone(P, w_int, eqs, stricts, basis, init, rep)
 
 
@@ -276,15 +260,16 @@ def epsilon_threshold(
     When the direction is bounded the result is that exact bound, read
     off from exponent differences on the marked reduced basis at w, even
     when it exceeds 1: the A1 parabola y1^2 - x1 at (0, 3) with
-    w' = (1, -1) gives 2.  Walks and facet crossings step by the same
-    rule.  Only when nothing limits the direction (every eps > 0 works)
-    is the result 1.
+    w' = (1, -1) gives 2, and at (0, 3/2) it gives 1: eps is in the units
+    of w as given.  Walks and facet crossings step by the same rule.
+    Only when nothing limits the direction (every eps > 0 works) is the
+    result 1.
     """
     w_prime.check(P)
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
-    w_int = w._integral_scale()
-    return _epsilon_bound(P, _marked_basis(_Bases(P, gens), w_int), w_int, w_prime)
+    basis = _marked_basis(_Bases(P, gens), w._integral_scale())
+    return _epsilon_bound(P, basis, w, w_prime)
 
 
 # -- walks -------------------------------------------------------------

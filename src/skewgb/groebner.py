@@ -36,7 +36,7 @@ from .errors import BudgetExceeded, RegionError, SkewGbError
 from .kernel import _add_terms
 from .orders import MonomialOrder, validate_order
 from .rees import ReesPresentation, _positive_rees, dehomogenize, homogenize, strip_x0
-from .ring import RingPresentation, SkewPoly
+from .ring import RingPresentation, SkewPoly, _require_ring
 from .weights import WeightVector, initial_form, pr_contains
 
 DEFAULT_MAX_PAIRS = 100_000
@@ -146,8 +146,7 @@ def normal_form(
 ) -> SkewPoly:
     """Remainder of left division of f by G: no remainder monomial is
     divisible by any marked initial monomial of G."""
-    if f.ring != P:
-        raise SkewGbError("polynomial not over the given presentation")
+    _require_ring(P, (f, *G))
     limit = _budget("SKEWGB_MAX_STEPS", DEFAULT_MAX_STEPS)
     kern = P.kernel()
     leads = []
@@ -189,13 +188,13 @@ def _monic(f: SkewPoly, order: MonomialOrder) -> SkewPoly:
 def _interreduced(P, basis, order) -> List[SkewPoly]:
     """The reduced basis of a monic Groebner basis, with no S-pair: each
     element in turn becomes its normal form modulo the others, a Groebner
-    basis, so it is zero or keeps its monic lead; one pass suffices."""
+    basis, so it is zero or keeps its monic lead; one pass suffices.
+    Each result is a fresh normal form, whatever the input's term order."""
     reduced = list(basis)
     for i, g in enumerate(basis):
         others = [h for k, h in enumerate(reduced) if k != i and h is not None]
         r = normal_form(P, g, others, order)
-        # keep an unchanged g itself: fan._cone_forms reads its term order
-        reduced[i] = None if r.is_zero() else g if r == g else r
+        reduced[i] = None if r.is_zero() else r
     return [g for g in reduced if g is not None]
 
 
@@ -240,6 +239,7 @@ def buchberger(
     is applied, within the F step as Gebauer and Moller do, only when
     the ring is commutative.
     """
+    _require_ring(P, gens)
     if not order.is_term_order:
         raise SkewGbError(f"buchberger requires a term order, not {order!r}")
     if not validate_order(P, order):

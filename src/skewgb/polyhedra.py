@@ -226,10 +226,11 @@ def irredundant_strict(
     dim: int,
     equalities: Sequence[Sequence],
     strict: Sequence[Sequence],
-) -> List[Sequence]:
+) -> Tuple[List[Row], List[Sequence]]:
     """Prune strict forms implied by the equalities and remaining forms.
 
-    Returns the caller's own forms that are kept, in input order."""
+    Returns the reduced echelon basis of the equalities' span (the rows
+    of ``_gauss``), and the caller's own strict forms kept, in input order."""
     pivots = _gauss(dim, equalities)
     free = _free_cols(dim, pivots)
     rows = [_reduced(dim, f, pivots, free) for f in strict]
@@ -241,4 +242,4 @@ def irredundant_strict(
         _put(system, tuple(-x for x in rows[i]), False)
         if _fm_levels(len(free), system) is None:
             kept = rest
-    return [strict[j] for j in kept]
+    return [row for _col, row in pivots], [strict[j] for j in kept]

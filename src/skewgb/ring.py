@@ -397,10 +397,15 @@ def sl2_presentation() -> RingPresentation:
 # -- operations --------------------------------------------------------
 
 
+def _require_ring(P: RingPresentation, polys: Iterable[SkewPoly]) -> None:
+    """Raise ``PresentationError`` unless every element belongs to P."""
+    if any(f.ring != P for f in polys):
+        raise PresentationError(f"element does not belong to {P.name}")
+
+
 def multiply(P: RingPresentation, f: SkewPoly, g: SkewPoly) -> SkewPoly:
     """Standard expression of the product f * g in R."""
-    if f.ring != P or g.ring != P:
-        raise PresentationError("operands do not belong to the given presentation")
+    _require_ring(P, (f, g))
     return f * g
 
 

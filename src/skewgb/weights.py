@@ -27,7 +27,7 @@ from typing import Iterable, Sequence, Tuple
 
 from .errors import RegionError, SkewGbError
 from .polyhedra import _primitive, _scaled
-from .ring import RingPresentation, SkewPoly
+from .ring import RingPresentation, SkewPoly, _require_ring
 
 NEG_INF = float("-inf")
 
@@ -204,6 +204,7 @@ def initial_form(P: RingPresentation, f: SkewPoly, w: WeightVector) -> SkewPoly:
     the definition of the principal symbol.
     """
     w.check(P)
+    _require_ring(P, (f,))
     if f.is_zero():
         raise SkewGbError("initial form of the zero polynomial is undefined")
     winners, _rest, _dots = _top_split(f, w)

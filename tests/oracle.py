@@ -15,10 +15,10 @@ completes the initial forms of a weighted basis afresh in S, the
 reference for the initial ideals read off a basis by interreduction.
 ``buchberger_all_pairs`` is the plain Buchberger algorithm, every
 S-pair reduced and no criterion applied, the reference for the pair
-criteria of ``buchberger``.  ``find_point_fm`` and
-``irredundant_strict_fm`` are Gaussian and Fourier-Motzkin elimination
-on ``Fraction``s that keep every combined row, the reference for the
-merged integer rows of ``skewgb.polyhedra``.  ``pr_forms_by_entries``,
+criteria of ``buchberger``.  ``find_point_fm``,
+``echelon_fm`` and ``irredundant_strict_fm`` are Gaussian and
+Fourier-Motzkin elimination on ``Fraction``s that keep every combined
+row, the reference for the merged integer rows of ``skewgb.polyhedra``.  ``pr_forms_by_entries``,
 ``validate_order_by_entries`` and ``pr_sample_positive_by_entries`` read
 the relation tables entry by entry through ``q1_entry`` and ``q2_entry``,
 the last two in both orientations of Q2: the reference for the readers
@@ -26,6 +26,7 @@ of ``RingPresentation._relation_terms``.
 The oracles work through the public API only.
 """
 
+import math
 from fractions import Fraction
 
 from skewgb import MonomialIdeal, MonomialOrder, buchberger, initial_form, multiply, normal_form
@@ -313,6 +314,19 @@ def find_point_fm(dim, equalities=(), nonneg=(), positive=()):
     for col, prow in pivots:
         point[col] = -sum(prow[k] * point[k] for k in free)
     return tuple(point)
+
+
+def echelon_fm(dim, equalities):
+    """The reduced echelon basis of the equalities' span over the
+    rationals, each row scaled to integers of content 1 (its pivot, 1
+    before scaling, stays positive)."""
+    rows = []
+    for _col, row in _fm_gauss(dim, equalities):
+        den = math.lcm(*(x.denominator for x in row))
+        ints = [int(x * den) for x in row]
+        g = math.gcd(*ints)
+        rows.append(tuple(x // g for x in ints))
+    return rows
 
 
 def irredundant_strict_fm(dim, equalities, strict):

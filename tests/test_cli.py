@@ -102,6 +102,18 @@ class TestSubcommands:
             code, out, _ = run(["fan", PARABOLA, "--seed", seed], capsys)
             assert code == 0 and weight in out
 
+    def test_fan_ignores_term_order(self, tmp_path, capsys):
+        # one ideal typed with its terms in two orders prints one fan,
+        # cone weights included
+        outputs = []
+        for ideal in ("y1 + y2 + x1", "x1 + y2 + y1"):
+            problem = tmp_path / "p.txt"
+            problem.write_text(f"ring: weyl 2\nideal: {ideal}\n")
+            code, out, _ = run(["fan", str(problem)], capsys)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_walk(self, capsys):
         code, out, _ = run(["walk", PARABOLA, "--json"], capsys)
         assert code == 0

@@ -1,12 +1,11 @@
 """Groebner cones, epsilon thresholds, walks, fan enumeration."""
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewgb import (
@@ -14,11 +13,14 @@ from skewgb import (
     SkewGbError,
     SkewPoly,
     WeightVector,
+    commutative_presentation,
     cone_of,
     enumerate_fan,
     epsilon_threshold,
     gr_region_contains,
     initial_ideal_weight,
+    parse_expression,
+    pr_contains,
     pr_halfspaces,
     same_class,
     sl2_presentation,
@@ -55,6 +57,12 @@ GKZ_A4 = [
     A4.y(1) * A4.y(4) - A4.y(2) * A4.y(3),
 ]
 GKZ_A4_SEED = WeightVector.for_ring(A4, [2, 3, 5, 7, 11, 13, 17, 19])
+# the GKZ system of A = [[1,1,1],[0,1,2]] with beta = (-1/2, 1/3)
+GKZ_A3 = [
+    A3.x(1) * A3.y(1) + A3.x(2) * A3.y(2) + A3.x(3) * A3.y(3) + Fraction(1, 2) * A3.one(),
+    A3.x(2) * A3.y(2) + 2 * A3.x(3) * A3.y(3) - Fraction(1, 3) * A3.one(),
+    A3.y(1) * A3.y(3) - A3.y(2) ** 2,
+]
 
 
 def _w(P, entries):
@@ -66,13 +74,9 @@ def _example_b_gens():
 
 
 def epsilon_identity_holds(P, gens, w, d, eps0):
-    """Whether in_{w + eps d}(I) = in_d(in_w(I)) at eps = eps0 / 2.
-
-    eps0 is in the units of w scaled to integers, as epsilon_threshold
-    returns it.
-    """
-    scale = math.lcm(*(x.denominator for x in w.entries))
-    perturbed = w.scale(scale) + d.scale(eps0 / 2)
+    """Whether in_{w + eps d}(I) = in_d(in_w(I)) at eps = eps0 / 2, with
+    w as given: epsilon_threshold returns eps0 in the units of w."""
+    perturbed = w + d.scale(eps0 / 2)
     inner = initial_ideal_weight(P, gens, w)
     lhs = initial_ideal_weight(P, gens, perturbed)
     return lhs == initial_ideal_weight(P.graded(), inner, d)
@@ -119,6 +123,21 @@ class TestConeOf:
         with pytest.raises(RegionError):
             cone_of(A1, PARABOLA, _w(A1, [-1, -1]))
 
+    def test_cones_of_different_initial_ideals_differ(self):
+        # in_w(I) is <x1^2*x3^2 + 1/3, x2^2> at (-1,0,1) and
+        # <x1^2*x3^2 + 1/2, x2^2> at (1,0,-1): the same supports
+        S = commutative_presentation(3, 0)
+        x1, x2, x3 = S.x(1), S.x(2), S.x(3)
+        gens = [
+            3 * x1**2 * x3**2 - x1 * x2**2 + S.one(),
+            2 * x1**2 * x2**2 - 2 * x1 * x2**2 * x3 + x1,
+        ]
+        w1, w2 = _w(S, [-1, 0, 1]), _w(S, [1, 0, -1])
+        c1, c2 = cone_of(S, gens, w1), cone_of(S, gens, w2)
+        assert not same_class(S, gens, w1, w2)
+        assert c1 != c2 and c1.key() != c2.key()
+        assert len({c1, c2}) == 2
+
     def test_contains_rejects_weight_of_wrong_length(self):
         # zip would drop the third entry and answer for (1, 3)
         gens = [A1.y(1) - A1.x(1) ** 2]
@@ -149,6 +168,32 @@ class TestGkzA4Seed:
             enumerate_fan(A4, GKZ_A4, GKZ_A4_SEED)
 
 
+class TestGkzA3:
+    """Every cone of a GKZ ideal has a 2-dimensional lineality space, so
+    its faces are cut out by dependent exponent differences."""
+
+    def test_face_equalities_independent(self):
+        # the six top-term differences at (1,...,1) span a 3-space
+        cone = cone_of(A3, GKZ_A3, _w(A3, [1] * 6))
+        assert cone.equalities == (
+            (0, 0, 0, 1, -2, 1),
+            (0, 1, -1, 0, 1, -1),
+            (1, 0, -1, 0, 2, -2),
+        )
+
+    def test_generic_seed_found(self):
+        # freeing one of three independent equalities leaves a direction
+        cone = _generic_seed(_Bases(A3, GKZ_A3))
+        assert cone.is_maximal() and cone.weight.is_positive()
+
+    @pytest.mark.parametrize("call", [enumerate_fan, universal_gb])
+    def test_unseeded_fan_stops_at_a_facet_crossing(self, call):
+        # the open crossing defect: the invariant check raises rather than
+        # returning a fan with a non-maximal cone
+        with pytest.raises(SkewGbError, match="facet crossing landed on a non-maximal cone"):
+            call(A3, GKZ_A3)
+
+
 class TestSameClass:
     def test_parabola_classes(self):
         assert same_class(A1, PARABOLA, _w(A1, [1, 3]), _w(A1, [1, 2]))
@@ -177,6 +222,16 @@ class TestEpsilonThreshold:
         # though w + 100*w is still in the class of w
         assert epsilon_threshold(A1, PARABOLA, w, w) == 1
         assert same_class(A1, PARABOLA, w, w + w.scale(100))
+
+    @pytest.mark.parametrize(
+        "v, expected", [(Fraction(3, 2), 1), (Fraction(3, 4), Fraction(1, 2))]
+    )
+    def test_bound_in_units_of_w(self, v, expected):
+        # (0, 3) gives 2: the bound scales with w, not with w made integral
+        w, d = _w(A1, [0, v]), _w(A1, [1, -1])
+        eps0 = epsilon_threshold(A1, PARABOLA, w, d)
+        assert eps0 == expected
+        assert epsilon_identity_holds(A1, PARABOLA, w, d, eps0)
 
     def test_verified_identity_example_b(self):
         gens = _example_b_gens()
@@ -358,6 +413,83 @@ def _envelope_walls(exponents):
     ]
 
 
+def sampled_pr_weights(P, seed, count):
+    """Seeded rational weights of PR(P), alternately positive and with a
+    negative entry."""
+    rng = random.Random(seed)
+    weights = []
+    for k in range(count):
+        while True:
+            entries = [
+                Fraction(rng.randrange(1 if k % 2 == 0 else -5, 6), rng.randrange(1, 5))
+                for _ in range(P.m + P.n)
+            ]
+            if pr_contains(P, _w(P, entries)) and (k % 2 == 0 or min(entries) < 0):
+                break
+        weights.append(_w(P, entries))
+    return weights
+
+
+def fan_partitions(P, gens, weights):
+    """Check that each weight off the walls lies in exactly one cone of
+    the fan, the cone of its own initial ideal (a key is the whole
+    initial ideal, so equal keys mean one class); returns how many were."""
+    fan = enumerate_fan(P, gens)
+    assert fan.complete
+    checked = 0
+    for w in weights:
+        own = cone_of(P, gens, w)
+        if not own.is_maximal():
+            continue
+        holders = [c for c in fan.cones if c.contains(w)]
+        assert len(holders) == 1, w
+        assert holders[0].key() == own.key()
+        checked += 1
+    return checked
+
+
+# ideals of U(sl2) whose fans have two or three maximal cones
+SL2_FANS = [
+    [SL2.y(1) ** 2 - SL2.y(3)],
+    [SL2.y(1) ** 3 - SL2.y(2) ** 2 + SL2.y(3) ** 2],
+    [SL2.y(1) ** 2 * SL2.y(3) - SL2.y(2) ** 2 - SL2.y(3)],
+    [SL2.y(1) ** 2 - SL2.y(2) ** 2 + SL2.y(3) ** 2],
+]
+
+
+@st.composite
+def small_ideals(draw, P, monos, max_gens, max_terms):
+    """1 to ``max_gens`` generators of P, each of 1 to ``max_terms`` of the
+    monomials ``monos`` with nonzero integer coefficients in [-3, 3]."""
+    gens = []
+    for _ in range(draw(st.integers(1, max_gens))):
+        support = draw(
+            st.lists(st.sampled_from(monos), min_size=1, max_size=max_terms, unique=True)
+        )
+        coeffs = draw(
+            st.lists(
+                st.integers(-3, 3).filter(bool), min_size=len(support), max_size=len(support)
+            )
+        )
+        gens.append(SkewPoly(P, {mono: Fraction(c) for mono, c in zip(support, coeffs)}))
+    return gens
+
+
+def monomials_up_to(P, degree):
+    """All (a, b) exponent pairs of total degree at most ``degree``."""
+    exps = itertools.product(range(degree + 1), repeat=P.m + P.n)
+    return [(e[: P.m], e[P.m:]) for e in exps if sum(e) <= degree]
+
+
+# x1^a*y1^b with a, b <= 3
+A1_MONOS = [((a,), (b,)) for a in range(4) for b in range(4)]
+
+
+def small_a1_ideals():
+    """1-2 generators of A1, each of 1-3 terms from ``A1_MONOS``."""
+    return small_ideals(A1, A1_MONOS, 2, 3)
+
+
 class TestEnumerateFan:
     def test_parabola_fan(self):
         fan = enumerate_fan(A1, PARABOLA)
@@ -411,33 +543,16 @@ class TestEnumerateFan:
         ids=["example_b", "y1+y2+x1"],
     )
     def test_a2_fan_partitions_sampled_weights(self, gens):
-        # seeded rational weights of PR(A2), alternately positive and mixed
-        # sign; each one off the walls lies in exactly one cone of the fan
-        fan = enumerate_fan(A2, gens)
-        assert fan.complete
-        rng = random.Random(2)
-        checked = skipped = 0
-        for k in range(15):
-            while True:
-                entries = [
-                    Fraction(rng.randrange(1 if k % 2 == 0 else -5, 6), rng.randrange(1, 5))
-                    for _ in range(4)
-                ]
-                u, v = entries[:2], entries[2:]
-                in_pr = all(a + b > 0 for a, b in zip(u, v))
-                if in_pr and (k % 2 == 0 or min(entries) < 0):
-                    break
-            w = _w(A2, entries)
-            own = cone_of(A2, gens, w)
-            if not own.is_maximal():
-                skipped += 1
-                continue
-            holders = [c for c in fan.cones if c.contains(w)]
-            assert len(holders) == 1, w
-            assert holders[0].key() == own.key()
-            assert same_class(A2, gens, w, holders[0].weight)
-            checked += 1
-        assert checked + skipped == 15 and checked >= 10
+        assert fan_partitions(A2, gens, sampled_pr_weights(A2, 2, 15)) >= 10
+
+    @pytest.mark.parametrize("gens", SL2_FANS, ids=[str(g[0]) for g in SL2_FANS])
+    def test_sl2_fan_partitions_sampled_weights(self, gens):
+        assert fan_partitions(SL2, gens, sampled_pr_weights(SL2, 2, 15)) >= 10
+
+    @given(small_a1_ideals())
+    @settings(max_examples=25, deadline=None)
+    def test_small_a1_fans_partition_sampled_weights(self, gens):
+        fan_partitions(A1, gens, sampled_pr_weights(A1, 2, 6))
 
     def test_generic_seed_leaves_codimension_two_face(self):
         # the sample weight of this A3 ideal lies on a face of codimension
@@ -560,22 +675,6 @@ def assert_interior_facets_shared(P, fan):
             ), (cone, form)
 
 
-@st.composite
-def small_a1_ideals(draw):
-    """1-2 generators of A1, each of 1-3 terms x1^a*y1^b with a, b <= 3."""
-    monos = [((a,), (b,)) for a in range(4) for b in range(4)]
-    gens = []
-    for _ in range(draw(st.integers(1, 2))):
-        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
-        coeffs = draw(
-            st.lists(
-                st.integers(-3, 3).filter(bool), min_size=len(support), max_size=len(support)
-            )
-        )
-        gens.append(SkewPoly(A1, {mono: Fraction(c) for mono, c in zip(support, coeffs)}))
-    return gens
-
-
 class TestInteriorFacetsShared:
     @pytest.mark.parametrize("name", sorted(FANS))
     def test_named_fans(self, name):
@@ -588,9 +687,55 @@ class TestInteriorFacetsShared:
         assert_interior_facets_shared(A1, enumerate_fan(A1, gens))
 
 
+def pr_weights(P, denominators):
+    """Weights of PR(P) with entries k / den, k in [-3, 5] and one den
+    drawn from ``denominators``; PR(P) is an open cone, so the integral
+    weight (k) decides membership."""
+    grid = [
+        e for e in itertools.product(range(-3, 6), repeat=P.m + P.n) if pr_contains(P, _w(P, e))
+    ]
+    return st.tuples(st.sampled_from(grid), st.sampled_from(denominators)).map(
+        lambda pair: _w(P, [Fraction(k, pair[1]) for k in pair[0]])
+    )
+
+
+def directions(P):
+    """Integral directions with entries in [-3, 3]."""
+    dim = P.m + P.n
+    return st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(lambda e: _w(P, e))
+
+
 class TestEpsilonIdentity:
     """in_{w + eps d}(I) = in_d(in_w(I)) below the threshold, on random
-    A1 ideals at nonnegative and mixed-sign integral weights of PR(A1)."""
+    A1 ideals at nonnegative and mixed-sign integral weights of PR(A1),
+    and on random A2 and sl2 ideals at integral and half-integral ones."""
+
+    @staticmethod
+    def check(P, gens, w, d):
+        eps0 = epsilon_threshold(P, gens, w, d)
+        assert eps0 > 0
+        assert epsilon_identity_holds(P, gens, w, d, eps0)
+
+    @given(small_ideals(A2, monomials_up_to(A2, 2), 2, 2), pr_weights(A2, (1, 2)), directions(A2))
+    @settings(max_examples=25, deadline=None)
+    # a bound in the units of 2w put the perturbed weight outside PR(A2)
+    @example(
+        [
+            parse_expression(A2, "-2*x2*y1*y2^2"),
+            parse_expression(A2, "-x1*x2^2*y1*y2^2 - x1^2*x2*y2 - 2*x1*y1^2"),
+        ],
+        _w(A2, [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2), 1]),
+        _w(A2, [2, -1, 0, 0]),
+    )
+    def test_small_a2_ideals(self, gens, w, d):
+        self.check(A2, gens, w, d)
+
+    @given(
+        small_ideals(SL2, monomials_up_to(SL2, 2), 2, 2), pr_weights(SL2, (1, 2)), directions(SL2)
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_small_sl2_ideals(self, gens, w, d):
+        self.check(SL2, gens, w, d)
 
     @given(
         small_a1_ideals(),
@@ -599,7 +744,73 @@ class TestEpsilonIdentity:
     )
     @settings(max_examples=25, deadline=None)
     def test_small_a1_ideals(self, gens, w_entries, d_entries):
-        w, d = _w(A1, w_entries), _w(A1, d_entries)
-        eps0 = epsilon_threshold(A1, gens, w, d)
-        assert eps0 > 0
-        assert epsilon_identity_holds(A1, gens, w, d, eps0)
+        self.check(A1, gens, _w(A1, w_entries), _w(A1, d_entries))
+
+
+def reversed_terms(gens):
+    """The generators with each one's terms inserted in reverse order."""
+    return [SkewPoly(g.ring, dict(reversed(g.terms.items()))) for g in gens]
+
+
+def fan_texts(P, gens, w_from, w_to):
+    """The text of the fan, the universal basis, the cones of two weights
+    and the walk between them, or of the error each one raised."""
+
+    def text(call):
+        try:
+            return call()
+        except SkewGbError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    def walk_text():
+        segs = walk(P, gens, w_from, w_to)
+        return "\n".join(f"[{s.t_lo}, {s.t_hi}]\n{s.cone.to_text()}" for s in segs)
+
+    return [
+        text(lambda: enumerate_fan(P, gens).to_text()),
+        text(lambda: "\n".join(str(g) for g in universal_gb(P, gens))),
+        text(lambda: cone_of(P, gens, w_from).to_text()),
+        text(lambda: cone_of(P, gens, w_to).to_text()),
+        text(walk_text),
+    ]
+
+
+class TestTermOrderInvariance:
+    """Fans, cones, walks and universal bases depend on the ideal, not on
+    the order in which a generator's terms were inserted."""
+
+    @pytest.mark.parametrize(
+        "gens",
+        [THREE_CONE, [A2.y(1) + A2.y(2) + A2.x(1) + A2.x(2)]],
+        ids=["y1+y2+x1", "y1+y2+x1+x2"],
+    )
+    def test_linear_a2_fans(self, gens):
+        w_from, w_to = _w(A2, [1, 1, 1, 3]), _w(A2, [2, -1, 1, 3])
+        assert fan_texts(A2, reversed_terms(gens), w_from, w_to) == fan_texts(
+            A2, gens, w_from, w_to
+        )
+
+    # one generator of three terms, or two of two terms and degree <= 2,
+    # and one A2 generator: with two generators of three terms one A1
+    # draw spent 53 s in universal_gb, and with two A2 generators one
+    # draw took 31 s
+    @given(
+        st.one_of(
+            small_ideals(A1, A1_MONOS, 1, 3),
+            small_ideals(A1, monomials_up_to(A1, 2), 2, 2),
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_small_a1_ideals(self, gens):
+        w_from, w_to = _w(A1, [1, 3]), _w(A1, [3, -1])
+        assert fan_texts(A1, reversed_terms(gens), w_from, w_to) == fan_texts(
+            A1, gens, w_from, w_to
+        )
+
+    @given(small_ideals(A2, monomials_up_to(A2, 2), 1, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_small_a2_ideals(self, gens):
+        w_from, w_to = _w(A2, [1, 1, 1, 3]), _w(A2, [2, -1, 1, 3])
+        assert fan_texts(A2, reversed_terms(gens), w_from, w_to) == fan_texts(
+            A2, gens, w_from, w_to
+        )

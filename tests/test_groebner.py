@@ -14,6 +14,7 @@ from skewgb import (
     BudgetExceeded,
     MonomialIdeal,
     MonomialOrder,
+    PresentationError,
     RegionError,
     SkewGbError,
     WeightVector,
@@ -125,6 +126,37 @@ class TestNormalForm:
         monkeypatch.setenv("SKEWGB_MAX_STEPS", "2")
         with pytest.raises(BudgetExceeded):
             normal_form(A2, (A2.x(1) * A2.y(1)) ** 4, [A2.y(1) - A2.one()], o)
+
+
+class TestForeignElements:
+    """An element of another ring is refused before any work is done; the
+    commutative ring with A1's shape has x1*y1 + 1 but no y1*x1 = x1*y1 + 1."""
+
+    FOREIGN = commutative_presentation(1, 1)
+
+    def test_normal_form_rejects_a_foreign_divisor(self):
+        # read as an element of A1 it would divide y1*x1 exactly
+        divisor = self.FOREIGN.x(1) * self.FOREIGN.y(1) + self.FOREIGN.one()
+        with pytest.raises(PresentationError):
+            normal_form(A1, A1.y(1) * A1.x(1), [divisor], MonomialOrder("grevlex"))
+
+    def test_normal_form_rejects_a_foreign_dividend(self):
+        with pytest.raises(PresentationError):
+            normal_form(A1, self.FOREIGN.x(1), [A1.y(1)], MonomialOrder("grevlex"))
+
+    def test_buchberger_rejects_before_any_reduction(self, monkeypatch):
+        reductions = []
+        real = groebner.normal_form
+
+        def counting(*args):
+            reductions.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(groebner, "normal_form", counting)
+        C = self.FOREIGN
+        with pytest.raises(PresentationError):
+            buchberger(A1, [C.x(1) * C.y(1) + C.one(), C.y(1) ** 2], MonomialOrder("grevlex"))
+        assert reductions == []
 
 
 class TestBuchberger:

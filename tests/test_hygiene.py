@@ -285,3 +285,20 @@ def test_gcd_and_lcm_called_only_in_polyhedra():
 
 def test_top_split_defined_once_in_weights():
     assert definitions({"_top_split"}) == [("_top_split", "weights.py")]
+
+
+# a cone's equalities are the reduced echelon basis that
+# ``irredundant_strict`` returns; no module writes them another way
+def test_equalities_have_one_writer():
+    assert definitions({"_canonical_eq"}) == []
+    assert routes({"irredundant_strict"}) == {("irredundant_strict", "fan.py", "_cone")}
+
+
+# an element of another ring is refused in one helper, once per public call
+def test_ring_membership_checked_in_one_helper():
+    assert routes({"_require_ring"}) == {
+        ("_require_ring", "ring.py", "multiply"),
+        ("_require_ring", "weights.py", "initial_form"),
+        ("_require_ring", "groebner.py", "normal_form"),
+        ("_require_ring", "groebner.py", "buchberger"),
+    }

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import find_point_fm, irredundant_strict_fm
+from oracle import echelon_fm, find_point_fm, irredundant_strict_fm
 
 from skewgb.polyhedra import find_point, irredundant_strict
 
@@ -49,11 +49,43 @@ class TestFindPoint:
 
 class TestImplication:
     def test_redundancy_removal(self):
-        kept = irredundant_strict(2, [], [(1, 1), (0, 1), (1, 2), (2, 3)])
+        eqs, kept = irredundant_strict(2, [], [(1, 1), (0, 1), (1, 2), (2, 3)])
+        assert eqs == []
         assert sorted(kept) == [
             (Fraction(0), Fraction(1)),
             (Fraction(1), Fraction(1)),
         ]
+
+
+class TestEchelonEqualities:
+    """The equalities come back as the reduced echelon basis of their
+    span, so two generating sets of one span give the same rows."""
+
+    def test_same_span_same_rows(self):
+        # three dependent differences, and two others of the same span
+        first = irredundant_strict(3, [(2, -2, 0), (0, 3, -3), (1, 0, -1)], [])[0]
+        second = irredundant_strict(3, [(-1, 0, 1), (0, -1, 1)], [])[0]
+        assert first == second == [(1, 0, -1), (0, 1, -1)]
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_independent_of_generators(self, seed):
+        # every form of a random system as an equality: up to 9, with
+        # repeated rows and multiples among them
+        dim, eqs, weak, strict = random_system(seed)
+        eqs = eqs + weak + strict
+        rng = random.Random(seed)
+        # a shuffled generating set of the same span, each row a nonzero
+        # multiple of itself plus a multiple of the previous one
+        scaled = [[rng.choice([-2, -1, 1, 3]), eq] for eq in eqs]
+        rng.shuffle(scaled)
+        mixed, prev = [], (0,) * dim
+        for c, eq in scaled:
+            k = rng.randrange(-2, 3)
+            mixed.append(tuple(c * a + k * b for a, b in zip(eq, prev)))
+            prev = tuple(c * a for a in eq)
+        rows = irredundant_strict(dim, eqs, [])[0]
+        assert rows == irredundant_strict(dim, mixed, [])[0] == echelon_fm(dim, eqs)
 
 
 class TestRandomizedSoundness:
@@ -129,7 +161,7 @@ class TestAgreesWithFractionOracle:
         # y - x > 0 with its weak copy and a multiple, x >= 0
         system = (2, [], [(1, 0), (-1, 1)], [(-2, 2), (-1, 1)])
         assert find_point(*system) == find_point_fm(*system) == (0, 1)
-        assert irredundant_strict(2, [], [(1, 1), (2, 2), (1, 0)]) == [(2, 2), (1, 0)]
+        assert irredundant_strict(2, [], [(1, 1), (2, 2), (1, 0)]) == ([], [(2, 2), (1, 0)])
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
@@ -142,4 +174,4 @@ class TestAgreesWithFractionOracle:
     def test_irredundant_strict_identical(self, seed):
         dim, eqs, weak, strict = random_system(seed)
         forms = strict + weak
-        assert irredundant_strict(dim, eqs, forms) == irredundant_strict_fm(dim, eqs, forms)
+        assert irredundant_strict(dim, eqs, forms)[1] == irredundant_strict_fm(dim, eqs, forms)

@@ -17,6 +17,7 @@ from skewgb import (
     KINDS,
     HalfspaceSystem,
     MonomialOrder,
+    PresentationError,
     RegionError,
     WeightVector,
     commutative_presentation,
@@ -131,6 +132,11 @@ class TestInitialForms:
         h = initial_form(A1, A1.y(1) * A1.x(1), w)
         assert h.ring.is_commutative
         assert str(h) == "x1*y1"
+
+    def test_initial_form_rejects_an_element_of_another_ring(self):
+        # read with A1's weight (1, 1), x1*y1 + y2 of A2 gave x1
+        with pytest.raises(PresentationError):
+            initial_form(A1, A2.x(1) * A2.y(1) + A2.y(2), WeightVector.for_ring(A1, [1, 1]))
 
     def test_initial_form_multiplicative_in_s(self):
         w = WeightVector.for_ring(A1, [1, 1])
