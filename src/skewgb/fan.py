@@ -538,10 +538,15 @@ def universal_gb(P: RingPresentation, gens: Sequence[SkewPoly]) -> List[SkewPoly
     all maximal cones of the Groebner fan of the homogenized ideal,
     dehomogenized.  The fan pass shares its weighted bases, so none is
     computed twice within the call.  A fan cut at its cone budget raises
-    ``BudgetExceeded``: the union of its bases need not be universal."""
+    ``BudgetExceeded``: the union of its bases need not be universal.
+    An ideal whose basis at ``pr_sample_positive(P)`` is [1] contains a
+    unit, so [1] is returned without the fan of the Rees ring."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
+    one = P.one()
+    if _Bases(P, gens).at(pr_sample_positive(P))[0] == (one,):
+        return [one]
     rz = _positive_rees(P)
     fan = enumerate_fan(rz.ring, [homogenize(rz, g) for g in gens])
     if not fan.complete:

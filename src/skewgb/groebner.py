@@ -12,14 +12,20 @@ dehomogenized; both conversions read base and weight from that ring.
 That order breaks ties by the base order on the variables of R before
 the x0 exponent, so on homogeneous elements it is the order of R
 refined by w, and in_w(I) is the interreduced initial forms of the one
-basis at every sign of w.  Every completion goes through
-``buchberger``, which skips S-pairs by the Gebauer-Moller criteria B, M
-and F (sound in these rings of solvable type, since they rest only on
-the chain criterion) and by Buchberger's coprime criterion only when
-the ring is commutative; the reduced basis is unique, so the criteria
-change only how many pairs are reduced.  Every completion is bounded by
-a pair budget and a reduction-step budget and raises ``BudgetExceeded``
-rather than returning a truncated answer.  The budgets are the
+basis at every sign of w.  Under that order ``buchberger`` divides
+each new element by its largest power of x0 as it joins the basis (x0
+is central and regular, so the element stays in the x0-saturation of
+the homogenized ideal), and the strip-and-complete loop of
+``groebner_wrt_weight`` is a check that completes again only when a
+finished basis still has an element divisible by x0.  Every completion
+goes through ``buchberger``, which skips S-pairs by the Gebauer-Moller
+criteria B, M and F (sound in these rings of solvable type, since they
+rest only on the chain criterion) and by Buchberger's coprime criterion
+only when the ring is commutative; under a plain term order the reduced
+basis is unique, so the criteria change only how many pairs are
+reduced.  Every completion is bounded by a pair budget and a
+reduction-step budget and raises ``BudgetExceeded`` rather than
+returning a truncated answer.  The budgets are the
 ``SKEWGB_MAX_PAIRS`` / ``SKEWGB_MAX_STEPS`` environment variables when
 set, else the defaults below.
 """
@@ -218,8 +224,13 @@ def buchberger(
 
     Requires a validated multiplicative term order; a mixed-sign weight
     is handled by ``groebner_wrt_weight``, which runs this completion on
-    a Rees ring under a strictly positive shifted weight.  A pair budget
-    guards the computation.
+    a Rees ring under a strictly positive shifted weight, the private
+    ``_ReesOrder``.  Under that order each nonzero reduced S-polynomial
+    r = x0^k * h joins the basis as h (``strip_x0``): h lies in the
+    x0-saturation of the ideal, and r reduces to zero modulo h, so the
+    criteria below and Buchberger's criterion still certify the final
+    set, a Groebner basis of an ideal between the one of gens and its
+    x0-saturation.  A pair budget guards the computation.
 
     Pairs are kept by the Gebauer-Moller update (Gebauer & Moller, JSC
     1988): when h joins the basis, (B) a pending pair (i, j) is dropped
@@ -253,6 +264,7 @@ def buchberger(
         basis.append(_monic(g, order))
         lead.append(order.leading_monomial(g))
     commutative = P.is_commutative
+    rees = isinstance(order, _ReesOrder)
     key = order.key
     # pending pairs (i, j) -> lcm; the heap gives normal selection,
     # smallest lcm first, ties to the smaller indices, and its entries
@@ -297,6 +309,8 @@ def buchberger(
         r = normal_form(P, s, basis, order)
         if r.is_zero():
             continue
+        if rees:
+            r = strip_x0(r)
         r = _monic(r, order)
         basis.append(r)
         lead.append(order.leading_monomial(r))
@@ -364,8 +378,15 @@ def groebner_wrt_weight(
     ``pr_sample_positive(P)`` (``rees._positive_rees``): generators are
     homogenized in it and the completion runs under the shifted strictly
     positive weight, which restricts to the (u, v) comparison on
-    homogeneous elements; the completion is repeated until it is
-    saturated with respect to x0.  Its ties go to ``kind`` on the
+    homogeneous elements.  The completion divides out x0 as elements
+    join (see ``buchberger``); x0 is then stripped from the finished
+    basis, and the completion repeated, until no element is divisible
+    by x0.  That loop is a check: it runs a second completion only when
+    interreduction left an element divisible by x0.  A Groebner basis of
+    any ideal between the homogenized generators' and its x0-saturation
+    dehomogenizes to a basis for (u, v), so the list may differ from
+    the one stripping only between completions gives (shorter or
+    longer), while in_(u,v)(I) does not.  Its ties go to ``kind`` on the
     variables of R before x0 (``_ReesOrder``): then it is the refined
     order on homogeneous elements, so the initial forms of the result
     generate in_(u,v)(I), which with x0 in the tie-break they may not.

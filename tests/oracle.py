@@ -15,7 +15,10 @@ completes the initial forms of a weighted basis afresh in S, the
 reference for the initial ideals read off a basis by interreduction.
 ``buchberger_all_pairs`` is the plain Buchberger algorithm, every
 S-pair reduced and no criterion applied, the reference for the pair
-criteria of ``buchberger``.  ``find_point_fm``,
+criteria of ``buchberger``.  ``rees_basis_by_rounds`` completes the
+homogenized generators in the Rees ring without dividing out x0 on the
+way, then strips x0 and completes again until nothing changes, the
+reference for the x0 division inside the Rees completion.  ``find_point_fm``,
 ``echelon_fm`` and ``irredundant_strict_fm`` are Gaussian and
 Fourier-Motzkin elimination on ``Fraction``s that keep every combined
 row, the reference for the merged integer rows of ``skewgb.polyhedra``.  ``pr_forms_by_entries``,
@@ -29,7 +32,20 @@ The oracles work through the public API only.
 import math
 from fractions import Fraction
 
-from skewgb import MonomialIdeal, MonomialOrder, buchberger, initial_form, multiply, normal_form
+from skewgb import (
+    MonomialIdeal,
+    MonomialOrder,
+    WeightVector,
+    buchberger,
+    dehomogenize,
+    homogenize,
+    initial_form,
+    multiply,
+    normal_form,
+    pr_sample_positive,
+    rees_presentation,
+    strip_x0,
+)
 
 
 def expand_tokens(m, xexp, yexp):
@@ -213,6 +229,56 @@ def buchberger_all_pairs(P, gens, order):
         others = [h for h in minimal if h is not g]
         reduced.append(top + normal_form(P, g - top, others, order))
     return sorted(reduced, key=lambda g: order.key(lead(g)))
+
+
+class _ReesTieOrder(MonomialOrder):
+    """A positive weight on a Rees ring, ties broken by the base order on
+    the variables of R and then by the exponent of x0, the first
+    x-variable: on weight-homogeneous elements, the order of R refined
+    by the weight.  A class of its own, so ``buchberger`` completes under
+    it as under any term order, dividing out no power of x0."""
+
+    __slots__ = ("tie",)
+
+    def __init__(self, kind, weight):
+        super().__init__(kind, weight)
+        self.tie = MonomialOrder(kind)
+
+    def key(self, mono):
+        a, b = mono
+        return (self.weight.scaled_dot(mono),) + self.tie.key((a[1:], b)) + (a[0],)
+
+
+def rees_basis_by_rounds(P, gens, w, kind="grevlex"):
+    """A Groebner basis of the left ideal of gens under the order of R
+    refined by a weight w with a negative entry, sorted by leading
+    monomial: the generators are homogenized in the Rees ring at
+    ``pr_sample_positive(P)`` and completed there under (0, w) + lam *
+    (1, w_plus) with lam = 1 + max |w| (any lam making it positive orders
+    homogeneous elements alike); then x0 is stripped from every element
+    and the ideal completed again until stripping changes nothing.  The
+    result is dehomogenized and made monic under the refined order."""
+    den = math.lcm(*(Fraction(e).denominator for e in w.entries))
+    ints = [int(e * den) for e in w.entries]
+    ord_w = MonomialOrder(kind, WeightVector.for_ring(P, ints))
+    rz = rees_presentation(P, pr_sample_positive(P))
+    lam = 1 + max(abs(e) for e in ints)
+    shifted = [e + lam * d for e, d in zip([0] + ints, (1,) + rz.weight.ints)]
+    order = _ReesTieOrder(kind, WeightVector(shifted[: P.m + 1], shifted[P.m + 1:]))
+    basis = buchberger(rz.ring, [homogenize(rz, g) for g in gens if not g.is_zero()], order)
+    while True:
+        stripped = [strip_x0(g) for g in basis]
+        if stripped == basis:
+            break
+        basis = buchberger(rz.ring, stripped, order)
+    result = []
+    for g in basis:
+        d = dehomogenize(rz, g)
+        if not d.is_zero():
+            d = d.scale(1 / d.coefficient(ord_w.leading_monomial(d)))
+            if d not in result:
+                result.append(d)
+    return sorted(result, key=lambda g: ord_w.key(ord_w.leading_monomial(g)))
 
 
 def _fm_gauss(dim, equalities):

@@ -22,6 +22,7 @@ from skewgb import (
     parse_expression,
     pr_contains,
     pr_halfspaces,
+    pr_sample_positive,
     same_class,
     sl2_presentation,
     universal_gb,
@@ -586,6 +587,21 @@ class TestFanComputesEachBasisOnce:
         P, gens, _seed = FANS[name]
         assert universal_gb(P, gens)
         assert weighted_calls and len(set(weighted_calls)) == len(weighted_calls)
+
+    @pytest.mark.parametrize(
+        "P, text",
+        [
+            (A1, "-x1^3*y1^3 + 2*x1^3 + 3; -x1^2*y1^3 + 3*x1^3"),
+            (A2, "-x1^2 - x2*y1; -2*x1^2 - 3*y2"),
+        ],
+    )
+    def test_universal_gb_of_a_unit_ideal(self, weighted_calls, P, text):
+        # the basis at the positive sample weight is [1], so the fan of the
+        # Rees ring is skipped: enumerating it took 52 s for 136 elements
+        # on the first, and failed a facet crossing after 23 s on the second
+        gens = [parse_expression(P, t) for t in text.split(";")]
+        assert universal_gb(P, gens) == [P.one()]
+        assert weighted_calls == [pr_sample_positive(P).entries]
 
     @pytest.mark.parametrize(
         "name, w_from, w_to",

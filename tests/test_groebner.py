@@ -20,6 +20,7 @@ from skewgb import (
     WeightVector,
     buchberger,
     commutative_presentation,
+    epsilon_threshold,
     groebner_wrt_weight,
     homogenize,
     initial_ideal_weight,
@@ -28,6 +29,7 @@ from skewgb import (
     parse_expression,
     parse_problem,
     pr_contains,
+    pr_sample_positive,
     rees_presentation,
     sl2_presentation,
     universal_gb,
@@ -44,6 +46,7 @@ from oracle import (
     ideal_member_comm,
     ideals_equal_comm,
     initial_ideal_by_completion,
+    rees_basis_by_rounds,
 )
 from test_kernel import vector_fields
 
@@ -562,6 +565,88 @@ class TestMixedSignMembership:
         basis = groebner_wrt_weight(P, gens, w, kind)
         grevlex = MonomialOrder("grevlex")
         assert buchberger(P, basis, grevlex) == buchberger(P, gens, grevlex)
+
+
+def _gens(P, text):
+    return [parse_expression(P, t) for t in text.split(";")]
+
+
+# the ideal <2x1^2y1^2 + 2x1^2y1 + 3y1^3, -x1^3y1^2 - 2x1^2y1^2 - 3x1^3>
+# of A1 contains a unit, but the homogenized generators do not generate
+# their x0-saturation, so completing them without dividing out x0 leaves
+# a longer basis with a spurious wall
+A1_UNIT = _gens(A1, "2*x1^2*y1^2 + 2*x1^2*y1 + 3*y1^3; -x1^3*y1^2 - 2*x1^2*y1^2 - 3*x1^3")
+A1_UNIT_W = WeightVector.for_ring(A1, [3, -2])
+# a unit ideal of A2 where the x0 division leaves the longer list at
+# (-3, 5, 4, 5): 10 elements, not [1]
+A2_UNIT = _gens(A2, "3*x2^2 + 3*x1; x2*y2 + y2^2")
+A2_UNIT_W = WeightVector.for_ring(A2, [-3, 5, 4, 5])
+
+
+class TestReesCompletionByRounds:
+    """Dividing out x0 while the Rees completion runs gives a basis of the
+    same ideal with the same in_w(I) as completing the homogenized
+    generators first and stripping x0 between whole completions."""
+
+    @given(case=read_off_cases(mixed=True))
+    @example(case=(A1, A1_UNIT, A1_UNIT_W))
+    @example(case=(A2, A2_UNIT, A2_UNIT_W))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_oracle(self, case):
+        P, gens, w = case
+        by_rounds = rees_basis_by_rounds(P, gens, w)
+        assert initial_ideal_weight(P, gens, w) == initial_ideal_by_completion(P, by_rounds, w)
+        # a term order of every ring here, the custom one included
+        order = MonomialOrder("grevlex", pr_sample_positive(P))
+        basis = groebner_wrt_weight(P, gens, w)
+        assert buchberger(P, basis, order) == buchberger(P, by_rounds, order)
+
+
+@pytest.fixture
+def rees_runs(monkeypatch):
+    """The length of the basis each Rees-ring completion returns, in order."""
+    runs = []
+    real = groebner.buchberger
+
+    def counting(P, gens, order):
+        basis = real(P, gens, order)
+        if isinstance(order, groebner._ReesOrder):
+            runs.append(len(basis))
+        return basis
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    return runs
+
+
+class TestX0DividedOutDuringCompletion:
+    """Elements join the Rees completion with x0 divided out, so the
+    strip-and-complete loop of ``groebner_wrt_weight`` only checks."""
+
+    UNIT_A2 = _gens(A2, "x1*y1 + x2*y2 - 1; y1*y2 - y1^2 + x1")
+    BESSEL_A2 = _gens(A2, "x1*y1^2 + y1 - x1*y2; y2^2 - y1")
+    W = WeightVector.for_ring(A2, [2, 1, -1, 1])
+
+    def test_unit_ideal_in_one_run(self, rees_runs):
+        # completed without dividing out x0, the first run ends at 20
+        # elements and a second one collapses them to [1]
+        assert groebner_wrt_weight(A2, self.UNIT_A2, self.W) == [A2.one()]
+        assert rees_runs == [1]
+
+    def test_bessel_in_two_runs(self, rees_runs):
+        # completed without dividing out x0 it takes three runs
+        basis = groebner_wrt_weight(A2, self.BESSEL_A2, self.W)
+        assert [str(g) for g in basis] == ["y1", "y2"]
+        assert len(rees_runs) == 2
+
+    def test_a1_unit_ideal(self):
+        assert groebner_wrt_weight(A1, A1_UNIT, A1_UNIT_W) == [A1.one()]
+        # stripping x0 only between whole completions leaves this basis,
+        # whose second element puts a spurious wall at 2/3 along (-1, 3)
+        by_rounds = rees_basis_by_rounds(A1, A1_UNIT, A1_UNIT_W)
+        assert [str(g) for g in by_rounds] == ["y1^2", "307/112*y1 + 1", "x1*y1", "x1^3"]
+        # a unit ideal has one cone, so no wall bounds any direction
+        d = WeightVector.for_ring(A1, [-1, 3])
+        assert epsilon_threshold(A1, A1_UNIT, A1_UNIT_W, d) == 1
 
 
 class TestUniversal:

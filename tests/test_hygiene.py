@@ -294,6 +294,15 @@ def test_equalities_have_one_writer():
     assert routes({"irredundant_strict"}) == {("irredundant_strict", "fan.py", "_cone")}
 
 
+# x0 is divided out where elements join a Rees completion and where the
+# saturation check strips a finished basis, nowhere else
+def test_x0_stripped_only_in_the_rees_completion():
+    assert routes({"strip_x0"}) == {
+        ("strip_x0", "groebner.py", "buchberger"),
+        ("strip_x0", "groebner.py", "groebner_wrt_weight"),
+    }
+
+
 # an element of another ring is refused in one helper, once per public call
 def test_ring_membership_checked_in_one_helper():
     assert routes({"_require_ring"}) == {
