@@ -1,13 +1,16 @@
 """Groebner cones, epsilon thresholds, weight walks and the Groebner fan.
 
-The equivalence class of a weight (all weights giving the same initial
-ideal) is a relatively open polyhedral cone cut out by the exponent
-differences of a suitably marked reduced Groebner basis: exponents tied
-at the top of each basis element give equalities, everything below gives
-strict inequalities, and the defining half-spaces of the polynomial
-region are always included.  Full-dimensional cones correspond to
-monomial initial ideals; the fan is enumerated by crossing facets, and
-the union of its marker bases is a universal Groebner basis.
+The cone of a weight is the relatively open polyhedral cone cut out by
+the exponent differences of a suitably marked Groebner basis at it:
+exponents tied at the top of each basis element give equalities,
+everything below gives strict inequalities, and the defining half-spaces
+of the polynomial region are always included.  At mixed signs the class
+of a weight (all weights giving its initial ideal) may hold several
+cones: in A2, <2y1y2 + y1, 2x2y1 - x2> has in_w(I) = <y1, x2> at
+(2,-1,-1,5) and (2,5,1,-3) but not at their midpoint (2,2,0,1).
+Full-dimensional cones correspond to monomial initial ideals; the fan is
+enumerated by crossing facets, and the union of its marker bases is a
+universal Groebner basis.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ def _diff(e, f) -> Tuple[int, ...]:
 
 
 class GroebnerCone:
-    """The equivalence class of a weight, with its defining constraints.
+    """The cone of a weight, with its defining constraints.
 
     ``equalities`` hold with value 0 on the cone and ``strict`` forms are
     positive; both are integer tuples of content 1 in the m + n weight
@@ -176,7 +179,7 @@ def _marked_basis(bases: _Bases, w: WeightVector):
 def cone_of(
     P: RingPresentation, gens: Sequence[SkewPoly], w: WeightVector
 ) -> GroebnerCone:
-    """The Groebner cone (equivalence class) of w for the ideal of gens."""
+    """The Groebner cone of w for the ideal of gens."""
     return _cone(_Bases(P, gens), w)
 
 

@@ -4,30 +4,28 @@ initial ideals for term orders and weight vectors.
 The paper-level theory reduces every weight-vector computation to a
 term-order computation, possibly after Rees homogenization: a weight
 with negative entries gives a non-term order, which is never iterated
-directly; instead the generators are homogenized in the one Rees ring,
-built at ``pr_sample_positive(P)`` by ``rees._positive_rees``, the
-completion runs there under a strictly positive shifted weight that
-induces the same initial forms on homogeneous input, and the result is
-dehomogenized; both conversions read base and weight from that ring.
-That order breaks ties by the base order on the variables of R before
-the x0 exponent, so on homogeneous elements it is the order of R
-refined by w, and in_w(I) is the interreduced initial forms of the one
-basis at every sign of w.  Under that order ``buchberger`` divides
-each new element by its largest power of x0 as it joins the basis (x0
-is central and regular, so the element stays in the x0-saturation of
-the homogenized ideal), and the strip-and-complete loop of
-``groebner_wrt_weight`` is a check that completes again only when a
-finished basis still has an element divisible by x0.  Every completion
-goes through ``buchberger``, which skips S-pairs by the Gebauer-Moller
-criteria B, M and F (sound in these rings of solvable type, since they
-rest only on the chain criterion) and by Buchberger's coprime criterion
-only when the ring is commutative; under a plain term order the reduced
-basis is unique, so the criteria change only how many pairs are
-reduced.  Every completion is bounded by a pair budget and a
-reduction-step budget and raises ``BudgetExceeded`` rather than
-returning a truncated answer.  The budgets are the
-``SKEWGB_MAX_PAIRS`` / ``SKEWGB_MAX_STEPS`` environment variables when
-set, else the defaults below.
+directly; instead the completion runs in the one Rees ring, built at
+w_plus = ``pr_sample_positive(P)`` by ``rees._positive_rees``, under a
+strictly positive shifted weight that induces the same initial forms on
+homogeneous input, and the result is dehomogenized; both conversions
+read base and weight from that ring.  That order breaks ties by the base
+order on the variables of R before the x0 exponent, so on homogeneous
+elements it is the order of R refined by w, and in_w(I) is the
+interreduced initial forms of the one basis at every sign of w.  The
+completion starts from the homogenized reduced basis at w_plus, whose
+order refines the w_plus degree, so it generates the x0-saturation
+h(I) = <gens^h> : x0^inf (Cox, Little & O'Shea, ch. 8 sec. 4; the proof
+uses only lead(t * g) = t + lead(g)), and a reduced basis of h(I) has no
+element divisible by x0.  Every completion goes through ``buchberger``,
+which skips S-pairs by the Gebauer-Moller criteria B, M and F (sound in
+these rings of solvable type, since they rest only on the chain
+criterion) and by Buchberger's coprime criterion only when the ring is
+commutative; under a term order the reduced basis is unique, so the
+criteria and the starting generators change only the work.  Every
+completion is bounded by a pair budget and a reduction-step budget and
+raises ``BudgetExceeded`` rather than returning a truncated answer.  The
+budgets are the ``SKEWGB_MAX_PAIRS`` / ``SKEWGB_MAX_STEPS`` environment
+variables when set, else the defaults below.
 """
 
 from __future__ import annotations
@@ -41,13 +39,12 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from .errors import BudgetExceeded, RegionError, SkewGbError
 from .kernel import _add_terms
 from .orders import MonomialOrder, validate_order
-from .rees import ReesPresentation, _positive_rees, dehomogenize, homogenize, strip_x0
+from .rees import ReesPresentation, _positive_rees, dehomogenize, homogenize
 from .ring import RingPresentation, SkewPoly, _require_ring
 from .weights import WeightVector, initial_form, pr_contains
 
 DEFAULT_MAX_PAIRS = 100_000
 DEFAULT_MAX_STEPS = 200_000
-_SATURATION_ROUNDS = 25
 
 
 def _budget(name: str, default: int) -> int:
@@ -224,13 +221,10 @@ def buchberger(
 
     Requires a validated multiplicative term order; a mixed-sign weight
     is handled by ``groebner_wrt_weight``, which runs this completion on
-    a Rees ring under a strictly positive shifted weight, the private
-    ``_ReesOrder``.  Under that order each nonzero reduced S-polynomial
-    r = x0^k * h joins the basis as h (``strip_x0``): h lies in the
-    x0-saturation of the ideal, and r reduces to zero modulo h, so the
-    criteria below and Buchberger's criterion still certify the final
-    set, a Groebner basis of an ideal between the one of gens and its
-    x0-saturation.  A pair budget guards the computation.
+    a Rees ring under a strictly positive shifted weight.  A pair budget
+    guards the computation.  Before the final interreduction, an element
+    whose leading monomial another element's divides (the first of equal
+    leads kept) is dropped, since it would reduce to zero.
 
     Pairs are kept by the Gebauer-Moller update (Gebauer & Moller, JSC
     1988): when h joins the basis, (B) a pending pair (i, j) is dropped
@@ -264,8 +258,8 @@ def buchberger(
         basis.append(_monic(g, order))
         lead.append(order.leading_monomial(g))
     commutative = P.is_commutative
-    rees = isinstance(order, _ReesOrder)
     key = order.key
+    redundant = set()  # elements whose lead another divides, the first of equal ones kept
     # pending pairs (i, j) -> lcm; the heap gives normal selection,
     # smallest lcm first, ties to the smaller indices, and its entries
     # for pairs no longer pending are skipped when popped
@@ -284,6 +278,8 @@ def buchberger(
         first: Dict[tuple, Tuple[int, bool]] = {}  # lcm -> (k, coprime seen)
         for k in range(h):
             lcm = _exp_lcm(lead[k], lh)
+            if lcm in (lh, lead[k]):
+                redundant.add(h if lcm == lh else k)
             coprime = commutative and lcm == _exp_add(lead[k], lh)
             k0, seen = first.get(lcm, (k, False))
             first[lcm] = (k0, seen or coprime)  # F
@@ -309,13 +305,10 @@ def buchberger(
         r = normal_form(P, s, basis, order)
         if r.is_zero():
             continue
-        if rees:
-            r = strip_x0(r)
-        r = _monic(r, order)
-        basis.append(r)
+        basis.append(_monic(r, order))
         lead.append(order.leading_monomial(r))
         update(len(basis) - 1)
-    final = _interreduced(P, basis, order)
+    final = _interreduced(P, [g for i, g in enumerate(basis) if i not in redundant], order)
     final.sort(key=lambda g: order.key(order.leading_monomial(g)))
     return final
 
@@ -375,48 +368,26 @@ def groebner_wrt_weight(
     Nonnegative weights run directly (the refined order is a term
     order and the result is the reduced basis).  Weights with negative
     entries go through the one positively graded Rees ring, built at
-    ``pr_sample_positive(P)`` (``rees._positive_rees``): generators are
-    homogenized in it and the completion runs under the shifted strictly
+    w_plus = ``pr_sample_positive(P)`` (``rees._positive_rees``): the
+    homogenized reduced basis at w_plus generates the x0-saturation of
+    the homogenized ideal and is completed under the shifted strictly
     positive weight, which restricts to the (u, v) comparison on
-    homogeneous elements.  The completion divides out x0 as elements
-    join (see ``buchberger``); x0 is then stripped from the finished
-    basis, and the completion repeated, until no element is divisible
-    by x0.  That loop is a check: it runs a second completion only when
-    interreduction left an element divisible by x0.  A Groebner basis of
-    any ideal between the homogenized generators' and its x0-saturation
-    dehomogenizes to a basis for (u, v), so the list may differ from
-    the one stripping only between completions gives (shorter or
-    longer), while in_(u,v)(I) does not.  Its ties go to ``kind`` on the
-    variables of R before x0 (``_ReesOrder``): then it is the refined
-    order on homogeneous elements, so the initial forms of the result
-    generate in_(u,v)(I), which with x0 in the tie-break they may not.
-    The dehomogenized result is a Groebner basis for (u, v) but need not
-    be auto-reduced (full reduction under a non-term order can diverge).
+    homogeneous elements.  Its ties go to ``kind`` on the variables of R
+    before x0 (``_ReesOrder``): then it is the refined order on
+    homogeneous elements, so the initial forms of the result generate
+    in_(u,v)(I), which with x0 in the tie-break they may not.  No element
+    of the reduced basis of the saturated ideal is divisible by x0;
+    dehomogenized, it is a Groebner basis for (u, v) but need not be
+    auto-reduced (full reduction under a non-term order can diverge).
     Each completion runs under the budgets of ``SKEWGB_MAX_PAIRS`` /
     ``SKEWGB_MAX_STEPS`` (see ``buchberger``).
     """
     if not pr_contains(P, w):
         raise RegionError(f"weight {w} not in the polynomial region")
-    w_int = w._integral_scale()
-    ord_w = MonomialOrder(kind).refine(w_int)
     gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    if w_int.is_nonnegative():
-        return buchberger(P, gens, ord_w)
-    rz = _positive_rees(P)
-    ord_h = _ReesOrder(kind, _rees_weight_order(rz, w_int))
-    basis = buchberger(rz.ring, [homogenize(rz, g) for g in gens], ord_h)
-    for _ in range(_SATURATION_ROUNDS):
-        stripped = [strip_x0(g) for g in basis]
-        if stripped == basis:
-            break
-        basis = buchberger(rz.ring, stripped, ord_h)
-    else:
-        raise BudgetExceeded("x0-saturation rounds", _SATURATION_ROUNDS)
-    result = _dehomogenized(rz, basis, ord_w)
-    result.sort(key=lambda g: ord_w.key(ord_w.leading_monomial(g)))
-    return result
+    if not w.is_nonnegative():
+        return _Bases(P, gens, kind)._rees_basis(w)
+    return buchberger(P, gens, MonomialOrder(kind).refine(w._integral_scale()))
 
 
 def _initial_ideal_of(P: RingPresentation, basis, w: WeightVector):
@@ -432,30 +403,56 @@ def _initial_ideal_of(P: RingPresentation, basis, w: WeightVector):
 class _Bases:
     """The weighted bases of one ideal, each computed at most once.
 
-    Holds the ring and generators of one public call and, keyed by the
-    entries of a weight, the basis ``groebner_wrt_weight`` returns there
-    with its interreduced initial forms, the canonical in_w(I), both as
-    tuples, since several cones share them.  It is the only route from a weight to
-    in_w(I).  A positive multiple of a weight is a separate key; the fan
-    asks only at integral weights, so its keys agree.  A fresh object is
-    made for each public call and dropped when it returns.
+    Holds the ring, generators and base order of one public call and,
+    keyed by the entries of a weight, the basis ``groebner_wrt_weight``
+    returns there with its interreduced initial forms, the canonical
+    in_w(I), both as tuples, since several cones share them.  It is the
+    only route from a weight to in_w(I).  A positive multiple of a weight
+    is a separate key; the fan asks only at integral weights, so its keys
+    agree.  The first Rees completion starts from the homogenized basis
+    at w_plus and each later one from the Rees basis before it, which
+    generates the same saturated ideal.  A fresh object is made for each
+    public call and dropped when it returns.
     """
 
-    __slots__ = ("ring", "gens", "_memo")
+    __slots__ = ("ring", "gens", "kind", "_memo", "_rees")
 
-    def __init__(self, P: RingPresentation, gens: Sequence[SkewPoly]):
+    def __init__(self, P: RingPresentation, gens: Sequence[SkewPoly], kind: str = "grevlex"):
         self.ring = P
-        self.gens = gens
+        self.gens = [g for g in gens if not g.is_zero()]
+        self.kind = kind
         self._memo: Dict[tuple, tuple] = {}
+        self._rees = None  # (Rees ring, its latest completed basis)
 
     def at(self, w: WeightVector):
         """(basis, init) at a weight of PR(R), init the canonical in_w(I)."""
         found = self._memo.get(w.entries)
         if found is None:
-            basis = groebner_wrt_weight(self.ring, self.gens, w)
+            if w.is_nonnegative() or not pr_contains(self.ring, w):
+                # a weight outside PR(R) is refused there
+                basis = groebner_wrt_weight(self.ring, self.gens, w, self.kind)
+            else:
+                basis = self._rees_basis(w)
             init = _initial_ideal_of(self.ring, basis, w)
             found = self._memo[w.entries] = (tuple(basis), tuple(init))
         return found
+
+    def _rees_basis(self, w: WeightVector) -> List[SkewPoly]:
+        """The basis ``groebner_wrt_weight`` returns at a weight of PR(R)
+        with a negative entry, completed in the one Rees ring."""
+        if not self.gens:
+            return []
+        w_int = w._integral_scale()
+        ord_w = MonomialOrder(self.kind).refine(w_int)
+        if self._rees is None:
+            rz = _positive_rees(self.ring)
+            self._rees = (rz, [homogenize(rz, g) for g in self.at(rz.weight)[0]])
+        rz, start = self._rees
+        basis = buchberger(rz.ring, start, _ReesOrder(self.kind, _rees_weight_order(rz, w_int)))
+        self._rees = (rz, basis)
+        result = _dehomogenized(rz, basis, ord_w)
+        result.sort(key=lambda g: ord_w.key(ord_w.leading_monomial(g)))
+        return result
 
 
 def initial_ideal_weight(

@@ -16,10 +16,13 @@ reference for the initial ideals read off a basis by interreduction.
 ``buchberger_all_pairs`` is the plain Buchberger algorithm, every
 S-pair reduced and no criterion applied, the reference for the pair
 criteria of ``buchberger``.  ``rees_basis_by_rounds`` completes the
-homogenized generators in the Rees ring without dividing out x0 on the
-way, then strips x0 and completes again until nothing changes, the
-reference for the x0 division inside the Rees completion.  ``find_point_fm``,
-``echelon_fm`` and ``irredundant_strict_fm`` are Gaussian and
+homogenized generators in the Rees ring, then strips x0 and completes
+again until nothing changes, the reference for the weighted bases of the
+Rees route.  ``saturation_by_bayer`` completes the homogenized
+generators by weight, then the smaller power of x0, and strips x0
+(Bayer's criterion), the reference for the claim that the homogenized
+basis at the positive sample weight generates the x0-saturation.
+``find_point_fm``, ``echelon_fm`` and ``irredundant_strict_fm`` are Gaussian and
 Fourier-Motzkin elimination on ``Fraction``s that keep every combined
 row, the reference for the merged integer rows of ``skewgb.polyhedra``.  ``pr_forms_by_entries``,
 ``validate_order_by_entries`` and ``pr_sample_positive_by_entries`` read
@@ -279,6 +282,36 @@ def rees_basis_by_rounds(P, gens, w, kind="grevlex"):
             if d not in result:
                 result.append(d)
     return sorted(result, key=lambda g: ord_w.key(ord_w.leading_monomial(g)))
+
+
+class _BayerOrder(MonomialOrder):
+    """A positive weight on a Rees ring, ties broken first by the smaller
+    exponent of x0 (the first x-variable), then by grevlex on the
+    variables of R: on weight-homogeneous elements, x0 divides the
+    leading monomial only when it divides every term."""
+
+    __slots__ = ("tie",)
+
+    def __init__(self, weight):
+        super().__init__("grevlex", weight)
+        self.tie = MonomialOrder("grevlex")
+
+    def key(self, mono):
+        a, b = mono
+        return (self.weight.scaled_dot(mono), -a[0]) + self.tie.key((a[1:], b))
+
+
+def saturation_by_bayer(P, gens):
+    """(Rees ring, order, generators) of the x0-saturation of the
+    homogenized ideal of gens in the Rees ring at ``pr_sample_positive(P)``:
+    the homogenized generators are completed under ``_BayerOrder`` at
+    (1, w_plus) and x0 is stripped from every element, which leaves a
+    Groebner basis of the saturation under that order (Bayer & Stillman,
+    Invent. Math. 1987)."""
+    rz = rees_presentation(P, pr_sample_positive(P))
+    order = _BayerOrder(rz.extended_weight)
+    basis = buchberger(rz.ring, [homogenize(rz, g) for g in gens if not g.is_zero()], order)
+    return rz, order, [strip_x0(g) for g in basis]
 
 
 def _fm_gauss(dim, equalities):

@@ -258,16 +258,22 @@ GKZ_A3 = [
 
 @pytest.fixture
 def route_calls(monkeypatch):
-    """Counts of weighted bases (``groebner_wrt_weight``) and of
-    completions on a commutative ring, which for a Weyl algebra is its
-    graded ring, wherever the package binds the two functions."""
+    """Counts of weighted bases (``groebner_wrt_weight``, and the Rees
+    completions a ``_Bases`` runs itself at weights with a negative entry)
+    and of completions on a commutative ring, which for a Weyl algebra is
+    its graded ring, wherever the package binds the functions."""
     counts = {"weighted": 0, "commutative": 0}
     real_weighted = groebner.groebner_wrt_weight
     real_completion = groebner.buchberger
+    real_rees = groebner._Bases._rees_basis
 
     def weighted(*args, **kw):
         counts["weighted"] += 1
         return real_weighted(*args, **kw)
+
+    def rees(self, w):
+        counts["weighted"] += 1
+        return real_rees(self, w)
 
     def completion(S, *args, **kw):
         if S.is_commutative:
@@ -282,6 +288,7 @@ def route_calls(monkeypatch):
             ):
                 if getattr(module, attr, None) is real:
                     monkeypatch.setattr(module, attr, fake)
+    monkeypatch.setattr(groebner._Bases, "_rees_basis", rees)
     return counts
 
 

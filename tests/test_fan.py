@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewgb import (
+    BudgetExceeded,
+    MonomialOrder,
     RegionError,
     SkewGbError,
     SkewPoly,
@@ -18,6 +20,7 @@ from skewgb import (
     enumerate_fan,
     epsilon_threshold,
     gr_region_contains,
+    groebner_wrt_weight,
     initial_ideal_weight,
     parse_expression,
     pr_contains,
@@ -147,6 +150,84 @@ class TestConeOf:
             cone_of(A1, gens, _w(A1, [1, 3])).contains(bad)
         with pytest.raises(RegionError):
             enumerate_fan(A1, gens).cone_containing(bad)
+
+
+class TestMixedSignCones:
+    """Cones at weights with a negative entry, read off the basis the Rees
+    completion gives; completed from the homogenized generators, that
+    basis was not always the one of the x0-saturation, and each cone
+    here had a spurious wall."""
+
+    def test_a2_unit_ideal(self):
+        gens = [parse_expression(A2, t) for t in ("3*x2^2 + 3*x1", "x2*y2 + y2^2")]
+        w = _w(A2, [-3, 5, 4, 5])
+        # it was a 10-element list with a codimension-1 cone, not in GR,
+        # and thresholds 3 and 13/2
+        assert groebner_wrt_weight(A2, gens, w) == [A2.one()]
+        cone = cone_of(A2, gens, w)
+        assert cone.equalities == () and cone.contains(_w(A2, [1, 1, 1, 1]))
+        assert gr_region_contains(A2, gens, w)
+        assert epsilon_threshold(A2, gens, w, _w(A2, [1, 0, 0, 0])) == 1
+        assert epsilon_threshold(A2, gens, w, _w(A2, [0, -1, 0, 0])) == 10
+
+    def test_a1_cone_holds_a_positive_weight(self):
+        # in_w(I) = <y1> at every sampled weight; the cone demanded u1 < 0
+        gens = [parse_expression(A1, t) for t in ("-2*y1^3 + 3*y1", "-3*x1*y1 + y1^2")]
+        assert cone_of(A1, gens, _w(A1, [-3, 6])).contains(_w(A1, [1, 1]))
+
+
+def membership_draws(seed, count):
+    """Seeded draws of an ideal of A1 or A2 (1-2 generators of 2-3 terms,
+    degree <= 3 in A1 and <= 2 in A2, coefficients in +-{1, 2, 3}), an
+    integral PR weight with a negative entry and 10 integral PR weights,
+    all with entries in [-5, 6]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        P, degree = rng.choice([(A1, 3), (A2, 2)])
+        monos = monomials_up_to(P, degree)
+        gens = [
+            SkewPoly(
+                P,
+                {
+                    mono: Fraction(rng.choice((-1, 1)) * rng.randint(1, 3))
+                    for mono in rng.sample(monos, rng.randint(2, 3))
+                },
+            )
+            for _ in range(rng.randint(1, 2))
+        ]
+
+        def weight(mixed):
+            while True:
+                entries = [rng.randint(-5, 6) for _ in range(P.m + P.n)]
+                w = _w(P, entries)
+                if pr_contains(P, w) and (min(entries) < 0 or not mixed):
+                    return w
+
+        yield P, gens, weight(True), [weight(False) for _ in range(10)]
+
+
+class TestConeMembership:
+    """At a weight with a negative entry, no sampled weight with the same
+    in_w(I) lies outside the closure of ``cone_of(w)``, and no weight
+    inside the cone has another in_w(I)."""
+
+    def test_seeded_draws(self, monkeypatch):
+        # a budget keeps the rare slow draw out; few draws reach it
+        monkeypatch.setenv("SKEWGB_MAX_PAIRS", "300")
+        monkeypatch.setenv("SKEWGB_MAX_STEPS", "20000")
+        over = 0
+        for P, gens, w, samples in membership_draws(1, 30):
+            try:
+                cone = cone_of(P, gens, w)
+                init = initial_ideal_weight(P, gens, w)
+                inits = [initial_ideal_weight(P, gens, v) for v in samples]
+            except BudgetExceeded:
+                over += 1
+                continue
+            for v, other in zip(samples, inits):
+                assert other != init or cone.contains(v, closure=True), (gens, w, v)
+                assert other == init or not cone.contains(v), (gens, w, v)
+        assert over <= 3
 
 
 class TestGkzA4Seed:
@@ -619,6 +700,23 @@ class TestFanComputesEachBasisOnce:
         segs = walk(P, gens, _w(P, w_from), _w(P, w_to))
         assert len(segs) >= 2
         assert len(set(weighted_calls)) == len(weighted_calls)
+
+    def test_walk_completes_the_positive_sample_once(self, monkeypatch):
+        # each Rees completion of a call starts from the Rees basis before
+        # it, and the first from the basis at the positive sample weight,
+        # so that basis is completed once however many walls are crossed
+        orders = []
+        real = groebner.buchberger
+
+        def recording(R, gens, order):
+            orders.append(order)
+            return real(R, gens, order)
+
+        monkeypatch.setattr(groebner, "buchberger", recording)
+        P, gens, _seed = FANS["example_b"]
+        walk(P, gens, _w(P, (2, 2, -1, 1)), _w(P, (1, 3, 1, -1)))
+        assert orders.count(MonomialOrder("grevlex", pr_sample_positive(P))) == 1
+        assert sum(isinstance(o, groebner._ReesOrder) for o in orders) > 1
 
     # before facet crossings stopped searching for a positive weight at
     # nonnegative facet points, these fans made 4, 24, 14 and 67; the

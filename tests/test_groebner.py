@@ -32,6 +32,7 @@ from skewgb import (
     pr_sample_positive,
     rees_presentation,
     sl2_presentation,
+    strip_x0,
     universal_gb,
     validate_order,
     weyl_presentation,
@@ -47,6 +48,7 @@ from oracle import (
     ideals_equal_comm,
     initial_ideal_by_completion,
     rees_basis_by_rounds,
+    saturation_by_bayer,
 )
 from test_kernel import vector_fields
 
@@ -577,16 +579,17 @@ def _gens(P, text):
 # a longer basis with a spurious wall
 A1_UNIT = _gens(A1, "2*x1^2*y1^2 + 2*x1^2*y1 + 3*y1^3; -x1^3*y1^2 - 2*x1^2*y1^2 - 3*x1^3")
 A1_UNIT_W = WeightVector.for_ring(A1, [3, -2])
-# a unit ideal of A2 where the x0 division leaves the longer list at
-# (-3, 5, 4, 5): 10 elements, not [1]
+# a unit ideal of A2 whose completion from the homogenized generators,
+# dividing out x0 as elements joined, left 10 elements at (-3, 5, 4, 5)
 A2_UNIT = _gens(A2, "3*x2^2 + 3*x1; x2*y2 + y2^2")
 A2_UNIT_W = WeightVector.for_ring(A2, [-3, 5, 4, 5])
 
 
 class TestReesCompletionByRounds:
-    """Dividing out x0 while the Rees completion runs gives a basis of the
-    same ideal with the same in_w(I) as completing the homogenized
-    generators first and stripping x0 between whole completions."""
+    """Completing from the homogenized basis at the positive sample weight
+    gives a basis of the same ideal with the same in_w(I) as completing
+    the homogenized generators first and stripping x0 between whole
+    completions."""
 
     @given(case=read_off_cases(mixed=True))
     @example(case=(A1, A1_UNIT, A1_UNIT_W))
@@ -618,25 +621,27 @@ def rees_runs(monkeypatch):
     return runs
 
 
-class TestX0DividedOutDuringCompletion:
-    """Elements join the Rees completion with x0 divided out, so the
-    strip-and-complete loop of ``groebner_wrt_weight`` only checks."""
+class TestReesCompletionStartsSaturated:
+    """The Rees completion starts from the homogenized basis at the
+    positive sample weight, which generates the x0-saturation, so one
+    completion gives the reduced basis and nothing is stripped."""
 
     UNIT_A2 = _gens(A2, "x1*y1 + x2*y2 - 1; y1*y2 - y1^2 + x1")
     BESSEL_A2 = _gens(A2, "x1*y1^2 + y1 - x1*y2; y2^2 - y1")
     W = WeightVector.for_ring(A2, [2, 1, -1, 1])
 
     def test_unit_ideal_in_one_run(self, rees_runs):
-        # completed without dividing out x0, the first run ends at 20
-        # elements and a second one collapses them to [1]
+        # completed from the homogenized generators, the first run ended
+        # at 20 elements and a second one collapsed them to [1]
         assert groebner_wrt_weight(A2, self.UNIT_A2, self.W) == [A2.one()]
         assert rees_runs == [1]
 
-    def test_bessel_in_two_runs(self, rees_runs):
-        # completed without dividing out x0 it takes three runs
+    def test_bessel_in_one_run(self, rees_runs):
+        # completed from the homogenized generators it took three runs,
+        # and two while x0 was divided out as elements joined
         basis = groebner_wrt_weight(A2, self.BESSEL_A2, self.W)
         assert [str(g) for g in basis] == ["y1", "y2"]
-        assert len(rees_runs) == 2
+        assert rees_runs == [2]
 
     def test_a1_unit_ideal(self):
         assert groebner_wrt_weight(A1, A1_UNIT, A1_UNIT_W) == [A1.one()]
@@ -647,6 +652,48 @@ class TestX0DividedOutDuringCompletion:
         # a unit ideal has one cone, so no wall bounds any direction
         d = WeightVector.for_ring(A1, [-1, 3])
         assert epsilon_threshold(A1, A1_UNIT, A1_UNIT_W, d) == 1
+
+
+@st.composite
+def saturation_cases(draw):
+    """A small ideal of A1, A2 or U(sl2) and three integral weights of its
+    PR(R), the first with a negative entry."""
+    name = draw(st.sampled_from(["A1", "A2", "sl2"]))
+    P, degree, terms = READ_OFF_RINGS[name]
+    mixed = [w for w in PR_WEIGHTS[name] if not w.is_nonnegative()]
+    weights = [draw(st.sampled_from(mixed))]
+    weights += draw(st.lists(st.sampled_from(PR_WEIGHTS[name]), min_size=2, max_size=2))
+    return P, _draw_gens(draw, P, degree, terms, 2), weights
+
+
+class TestSaturatedStartAgainstBayer:
+    """The homogenized basis at the positive sample weight generates the
+    x0-saturation of the homogenized ideal, and so does every Rees basis
+    completed from it; so the reduced bases have no element divisible by
+    x0 and do not depend on which weights a ``_Bases`` asked first."""
+
+    @given(case=saturation_cases())
+    @example(case=(A2, A2_UNIT, [A2_UNIT_W, pr_sample_positive(A2), A2_UNIT_W]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bayer_saturation(self, case):
+        P, gens, weights = case
+        rz, order, saturation = saturation_by_bayer(P, gens)
+        reference = buchberger(rz.ring, saturation, order)
+        w_plus = pr_sample_positive(P)
+        start = [homogenize(rz, g) for g in groebner_wrt_weight(P, gens, w_plus)]
+        assert buchberger(rz.ring, start, order) == reference
+        forward, backward = groebner._Bases(P, gens), groebner._Bases(P, gens)
+        for w in weights:
+            forward.at(w)
+            if not w.is_nonnegative():
+                _rz, rees_basis = forward._rees
+                assert all(strip_x0(g) == g for g in rees_basis)
+                assert buchberger(rz.ring, rees_basis, order) == reference
+        for w in reversed(weights):
+            backward.at(w)
+        for w in weights:
+            assert forward.at(w) == backward.at(w)
+            assert list(forward.at(w)[0]) == groebner_wrt_weight(P, gens, w)
 
 
 class TestUniversal:

@@ -176,13 +176,16 @@ def test_call_site_detector():
     assert call_sites(source, {"f"}) == [("f", ""), ("f", "C.m.inner"), ("f", "g")]
 
 
-# the only callers of the weighted basis and of the initial ideal read off
-# it: everything else asks a ``_Bases`` memo, so nothing computes a basis
-# the call already holds
+# the only callers of the weighted basis, of its Rees completion and of
+# the initial ideal read off it: everything else asks a ``_Bases`` memo,
+# so nothing computes a basis the call already holds, and the public
+# function reaches a Rees completion through a fresh ``_Bases``
 ROUTE = {
     ("_initial_ideal_of", "groebner.py", "_Bases.at"),
     ("groebner_wrt_weight", "groebner.py", "_Bases.at"),
     ("groebner_wrt_weight", "cli.py", "cmd_gb"),
+    ("_rees_basis", "groebner.py", "_Bases.at"),
+    ("_rees_basis", "groebner.py", "groebner_wrt_weight"),
 }
 
 
@@ -294,13 +297,14 @@ def test_equalities_have_one_writer():
     assert routes({"irredundant_strict"}) == {("irredundant_strict", "fan.py", "_cone")}
 
 
-# x0 is divided out where elements join a Rees completion and where the
-# saturation check strips a finished basis, nowhere else
-def test_x0_stripped_only_in_the_rees_completion():
-    assert routes({"strip_x0"}) == {
-        ("strip_x0", "groebner.py", "buchberger"),
-        ("strip_x0", "groebner.py", "groebner_wrt_weight"),
-    }
+# a Rees completion starts from generators of the x0-saturation, so its
+# reduced basis has no element divisible by x0: nothing strips x0, no
+# completion branches on the class of its order, and no saturation loop
+# is left (``strip_x0`` stays public for callers outside the package)
+def test_strip_x0_has_no_caller_in_src():
+    assert routes({"strip_x0"}) == set()
+    assert routes({"isinstance"}) & {("isinstance", "groebner.py", "buchberger")} == set()
+    assert "_SATURATION_ROUNDS" not in (SRC / "groebner.py").read_text(encoding="utf-8")
 
 
 # an element of another ring is refused in one helper, once per public call
