@@ -41,7 +41,6 @@ from .fan import (
     enumerate_fan,
     epsilon_threshold,
     gr_region_contains,
-    same_class,
     universal_gb,
     walk,
 )
@@ -60,7 +59,6 @@ from .rees import (
     dehomogenize,
     homogenize,
     rees_presentation,
-    strip_x0,
 )
 from .ring import (
     RingPresentation,
@@ -141,9 +139,7 @@ __all__ = [
     "quasi_poly_degree",
     "radical_monomial",
     "rees_presentation",
-    "same_class",
     "sl2_presentation",
-    "strip_x0",
     "universal_gb",
     "validate_order",
     "validate_presentation",

@@ -22,7 +22,7 @@ from .groebner import MonomialIdeal, _Bases, initial_ideal_weight
 from .kernel import _accumulate
 from .orders import MonomialOrder
 from .ring import RingPresentation, SkewPoly
-from .weights import NEG_INF, WeightVector, pr_contains, pr_sample_positive
+from .weights import NEG_INF, WeightVector, _require_pr, pr_sample_positive
 
 
 def _support(mono) -> FrozenSet[int]:
@@ -72,14 +72,12 @@ def minimal_primes_monomial(J: MonomialIdeal) -> List[FrozenSet[int]]:
     return _minimal_transversals(supports)
 
 
-def krull_dim_monomial(J: MonomialIdeal, total_vars: Optional[int] = None):
+def krull_dim_monomial(J: MonomialIdeal):
     """Krull dimension of S/J; -inf for the unit ideal (empty scheme)."""
-    if total_vars is None:
-        total_vars = J.total_vars
     if J.is_unit():
         return NEG_INF
     primes = minimal_primes_monomial(J)
-    return total_vars - min(len(p) for p in primes)
+    return J.total_vars - min(len(p) for p in primes)
 
 
 # -- Hilbert series ----------------------------------------------------
@@ -288,8 +286,7 @@ def gk_dim(P: RingPresentation, gens: Sequence[SkewPoly], w: WeightVector):
     w.check(P)
     if not w.is_positive():
         raise RegionError("GK dimension requires a strictly positive weight")
-    if not pr_contains(P, w):
-        raise RegionError(f"weight {w} not in the polynomial region")
+    _require_pr(P, w)
     return krull_dim_monomial(_leading_ideal(P, initial_ideal_weight(P, gens, w)))
 
 

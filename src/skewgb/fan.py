@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import mul, sub
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import BudgetExceeded, RegionError, SkewGbError
+from .errors import BudgetExceeded, SkewGbError
 from .groebner import _Bases, _dehomogenized
 from .orders import MonomialOrder
 from .polyhedra import _primitive, find_point, irredundant_strict
@@ -27,6 +27,7 @@ from .rees import _positive_rees, homogenize
 from .ring import RingPresentation, SkewPoly
 from .weights import (
     WeightVector,
+    _require_pr,
     _top_split,
     pr_contains,
     pr_halfspaces,
@@ -185,8 +186,7 @@ def cone_of(
 
 def _cone(bases: _Bases, w: WeightVector) -> GroebnerCone:
     P = bases.ring
-    if not pr_contains(P, w):
-        raise RegionError(f"weight {w} not in the polynomial region")
+    _require_pr(P, w)
     w_int = w._integral_scale()
     basis, init = bases.at(w_int)
     forms = _cone_forms(P, basis, w_int)
@@ -199,17 +199,6 @@ def _cone(bases: _Bases, w: WeightVector) -> GroebnerCone:
     # irredundant_strict prunes in input order, so give it a canonical one
     eqs, stricts = irredundant_strict(P.m + P.n, equalities, sorted(set(strict)))
     return GroebnerCone(P, w_int, eqs, stricts, basis, init, rep)
-
-
-def same_class(
-    P: RingPresentation,
-    gens: Sequence[SkewPoly],
-    w1: WeightVector,
-    w2: WeightVector,
-) -> bool:
-    """Whether two weights induce the same initial ideal in S."""
-    bases = _Bases(P, gens)
-    return bases.at(w1)[1] == bases.at(w2)[1]
 
 
 def gr_region_contains(
@@ -269,8 +258,7 @@ def epsilon_threshold(
     result 1.
     """
     w_prime.check(P)
-    if not pr_contains(P, w):
-        raise RegionError(f"weight {w} not in the polynomial region")
+    _require_pr(P, w)
     basis = _marked_basis(_Bases(P, gens), w._integral_scale())
     return _epsilon_bound(P, basis, w, w_prime)
 
@@ -315,8 +303,7 @@ def walk(
     weighted bases are shared within the call: none is computed twice.
     """
     for w in (w_start, w_end):
-        if not pr_contains(P, w):
-            raise RegionError(f"walk endpoint {w} not in the polynomial region")
+        _require_pr(P, w)
     direction = w_end - w_start
     ints_s, ints_e = w_start.ints, w_end.ints
     segments: List[WalkSegment] = []

@@ -36,12 +36,12 @@ import os
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .errors import BudgetExceeded, RegionError, SkewGbError
+from .errors import BudgetExceeded, SkewGbError
 from .kernel import _add_terms
 from .orders import MonomialOrder, validate_order
 from .rees import ReesPresentation, _positive_rees, dehomogenize, homogenize
 from .ring import RingPresentation, SkewPoly, _require_ring
-from .weights import WeightVector, initial_form, pr_contains
+from .weights import WeightVector, _require_pr, initial_form
 
 DEFAULT_MAX_PAIRS = 100_000
 DEFAULT_MAX_STEPS = 200_000
@@ -382,8 +382,7 @@ def groebner_wrt_weight(
     Each completion runs under the budgets of ``SKEWGB_MAX_PAIRS`` /
     ``SKEWGB_MAX_STEPS`` (see ``buchberger``).
     """
-    if not pr_contains(P, w):
-        raise RegionError(f"weight {w} not in the polynomial region")
+    _require_pr(P, w)
     gens = [g for g in gens if not g.is_zero()]
     if not w.is_nonnegative():
         return _Bases(P, gens, kind)._rees_basis(w)
@@ -428,10 +427,10 @@ class _Bases:
         """(basis, init) at a weight of PR(R), init the canonical in_w(I)."""
         found = self._memo.get(w.entries)
         if found is None:
-            if w.is_nonnegative() or not pr_contains(self.ring, w):
-                # a weight outside PR(R) is refused there
+            if w.is_nonnegative():
                 basis = groebner_wrt_weight(self.ring, self.gens, w, self.kind)
             else:
+                _require_pr(self.ring, w)
                 basis = self._rees_basis(w)
             init = _initial_ideal_of(self.ring, basis, w)
             found = self._memo[w.entries] = (tuple(basis), tuple(init))

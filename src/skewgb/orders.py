@@ -110,4 +110,4 @@ class MonomialOrder:
 
 def validate_order(P: RingPresentation, order: MonomialOrder) -> bool:
     """Conditions (M1)/(M2): relation table entries precede their products."""
-    return all(order.less(term, word) for word, term in P._relation_terms())
+    return all(order.less(term, word) for word, term, _c, _slot in P._relation_terms())

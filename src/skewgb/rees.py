@@ -2,8 +2,11 @@
 
 The Rees ring adjoins a central degree-1 commuting generator x0 (stored
 as the first x-variable) and replaces each relation table entry by its
-weight homogenization; membership of the weight in PR(R) guarantees all
-x0 exponents are nonnegative.  The substitution x0 = 1 recovers R.
+weight homogenization, built in one pass over
+``RingPresentation._relation_terms``: each term is multiplied by x0 to
+the power of its word's weight minus its own, the value at w of that
+term's PR(R) form, so membership of the weight in PR(R) makes every x0
+exponent positive.  The substitution x0 = 1 recovers R.
 Mixed-sign weights are reached through one Rees ring, built at
 ``pr_sample_positive(P)`` by ``_positive_rees``; ``homogenize`` and
 ``dehomogenize`` read base and weight from the Rees ring they are given.
@@ -13,10 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import PresentationError, RegionError, SkewGbError
+from .errors import PresentationError, RegionError
 from .kernel import _accumulate
 from .ring import RingPresentation, SkewPoly
-from .weights import WeightVector, _top_split, pr_contains, pr_sample_positive
+from .weights import WeightVector, _require_pr, _top_split, pr_sample_positive
 
 
 class ReesPresentation:
@@ -51,15 +54,7 @@ def _check_weight(P: RingPresentation, w: WeightVector):
     w.check(P)
     if not w.is_integral():
         raise RegionError("Rees construction requires an integer weight vector")
-    if not pr_contains(P, w):
-        raise RegionError(f"weight {w} is not in the polynomial region of {P.name}")
-
-
-def _x0_power(e0: int) -> int:
-    """An x0 exponent, a natural number whenever ``_check_weight`` passed."""
-    if e0 < 0:
-        raise SkewGbError(f"homogenized relation term has x0 exponent {e0}")
-    return e0
+    _require_pr(P, w)
 
 
 def rees_presentation(P: RingPresentation, w: WeightVector) -> ReesPresentation:
@@ -70,32 +65,15 @@ def rees_presentation(P: RingPresentation, w: WeightVector) -> ReesPresentation:
     degree of its left-hand side.
     """
     _check_weight(P, w)
-    # w is integral, so its integer view holds its entries
-    m, n = P.m, P.n
-    q1 = {}
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            entry = P.q1_entry(i, j)
-            if entry.is_zero():
-                continue
-            lhs_deg = w.iu[j - 1] + w.iv[i - 1]
-            table = {}
-            for (a, _b), c in entry.terms.items():
-                e0 = _x0_power(lhs_deg - w.scaled_dot((a, (0,) * n)))
-                table[(e0,) + a] = c
-            q1[(i, j + 1)] = table
-    q2 = {}
-    for (i, j) in [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i > j]:
-        entry = P.q2_entry(i, j)
-        if entry.is_zero():
-            continue
-        lhs_deg = w.iv[i - 1] + w.iv[j - 1]
-        table = {}
-        for (a, b), c in entry.terms.items():
-            e0 = _x0_power(lhs_deg - w.scaled_dot((a, b)))
-            table[((e0,) + a, b)] = c
-        q2[(i, j)] = table
-    ring = RingPresentation._unchecked(m + 1, n, q1=q1, q2=q2, name=f"rees({P.name})")
+    q1, q2 = {}, {}
+    for word, (a, b), c, (i, j) in P._relation_terms():
+        # w is integral, so scaled_dot is the exact degree
+        x0a = (w.scaled_dot(word) - w.scaled_dot((a, b)),) + a
+        if any(word[0]):  # the word x_j y_i; x0 shifts the x indices
+            q1.setdefault((i, j + 1), {})[x0a] = c
+        else:  # the word y_j y_i
+            q2.setdefault((i, j), {})[(x0a, b)] = c
+    ring = RingPresentation._unchecked(P.m + 1, P.n, q1=q1, q2=q2, name=f"rees({P.name})")
     # display x0 with its own name; remaining variables keep theirs
     ring.var_names = ("x0",) + P.var_names
     return ReesPresentation(P, w, ring)
@@ -131,12 +109,3 @@ def dehomogenize(rees: ReesPresentation, f: SkewPoly) -> SkewPoly:
         _accumulate(terms, (a[1:], b), c)
     return SkewPoly(rees.base, terms)
 
-
-def strip_x0(f: SkewPoly) -> SkewPoly:
-    """Divide a Rees-ring element by the largest common power of x0."""
-    if f.is_zero():
-        return f
-    k = min(a[0] for (a, _b) in f.terms)
-    if k == 0:
-        return f
-    return SkewPoly(f.ring, {((a[0] - k,) + a[1:], b): c for (a, b), c in f.terms.items()})

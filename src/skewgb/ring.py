@@ -10,9 +10,12 @@ operation is a pure function.
 
 The relation tables are read in one place: ``_relation_terms`` lists each
 relation's leading word (x_j y_i, or y_j y_i with j < i) with every
-monomial of its right-hand side.  The polynomial region PR(R) (the
-weights under which each term weighs less than its word) and the
-conditions (M1)/(M2) on an order are both read off that list.  Table
+monomial of its right-hand side, its coefficient and its table slot.  The
+polynomial region PR(R) (the weights under which each term weighs less
+than its word), the conditions (M1)/(M2) on an order and the Rees rings
+(each term times x0 to the power of that slack) are all read off that
+list.  Q2 is antisymmetric by construction: a missing mirror entry is
+filled in and a given one that is not the negation is refused.  Table
 entries are summed with the kernel's ``_accumulate``.
 """
 
@@ -58,8 +61,9 @@ class RingPresentation:
     given as {x_exponent_tuple: coefficient}; ``q2`` maps (i, j) with
     1 <= i, j <= n to a polynomial of y-degree at most one given as
     {(x_exponent_tuple, y_exponent_tuple): coefficient}.  Missing (j, i)
-    entries are filled in antisymmetrically.  Tables that fail
-    ``validate_presentation`` define no ring and raise
+    entries are filled in antisymmetrically; a given (j, i) entry that is
+    not the negation of (i, j), a nonzero diagonal entry, and tables that
+    fail ``validate_presentation`` define no ring and raise
     ``PresentationError``.
     """
 
@@ -128,10 +132,12 @@ class RingPresentation:
                 if sum(ye) > 1:
                     raise PresentationError(f"Q2[{i},{j}] has y-degree > 1")
             table2[(i, j)] = canon
-        # antisymmetric completion for missing mirror entries
+        # antisymmetric completion of missing mirror entries; a given
+        # mirror must be the negation
         for (i, j), canon in list(table2.items()):
-            if (j, i) not in table2:
-                table2[(j, i)] = tuple((k, -c) for k, c in canon)
+            mirror = tuple((k, -c) for k, c in canon)
+            if table2.setdefault((j, i), mirror) != mirror:
+                raise PresentationError(f"Q2[{j},{i}] is not the negation of Q2[{i},{j}]")
         self._q2 = {k: v for k, v in sorted(table2.items()) if v}
         # the tables never change, so their hash is taken once; equality
         # and hashing leave out var_names, which Rees rings rename
@@ -154,22 +160,23 @@ class RingPresentation:
         return SkewPoly(self, {key: c for key, c in entry})
 
     def _relation_terms(self):
-        """(word, term) exponent pairs of the relations: the word x_j y_i
-        with each monomial of Q1_ij, and the word y_j y_i (j < i) with each
-        monomial of Q2_ij.  One orientation of Q2 is enough: the tables
-        are antisymmetric."""
+        """(word, term, coefficient, slot) of each relation term: the word
+        x_j y_i with each monomial of Q1_ij, and the word y_j y_i (j < i)
+        with each monomial of Q2_ij; ``slot`` is the 1-based (i, j) of the
+        entry.  One orientation of Q2 is enough: the tables are
+        antisymmetric."""
         zx, zy = (0,) * self.m, (0,) * self.n
         for i, row in enumerate(self._q1):
             yi = tuple(int(k == i) for k in range(self.n))
             for j, entry in enumerate(row):
                 word = (tuple(int(k == j) for k in range(self.m)), yi)
-                for xe, _c in entry:
-                    yield word, (xe, zy)
+                for xe, c in entry:
+                    yield word, (xe, zy), c, (i + 1, j + 1)
         for (i, j), entry in self._q2.items():
             if j < i:
                 word = (zx, tuple(int(k == i - 1) + int(k == j - 1) for k in range(self.n)))
-                for key, _c in entry:
-                    yield word, key
+                for key, c in entry:
+                    yield word, key, c, (i, j)
 
     @property
     def is_commutative(self) -> bool:
@@ -256,12 +263,6 @@ class SkewPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def monomials(self):
-        return list(self.terms)
 
     def coefficient(self, key: MonomialKey) -> Fraction:
         return self.terms.get(key, _ZERO)
@@ -412,27 +413,20 @@ def multiply(P: RingPresentation, f: SkewPoly, g: SkewPoly) -> SkewPoly:
 def validate_presentation(P: RingPresentation) -> bool:
     """Certificate that the relation tables define a ring with PBW basis.
 
-    Verifies antisymmetry of Q2 and associativity of the product on all
-    generator triples (the constructor already bounds the y-degree of
-    Q2).  Read the relations as rewrite rules ``y_i x_j -> x_j y_i + Q1_ij``,
-    ``y_i y_j -> y_j y_i + Q2_ij`` (i > j) and ``x_j x_k -> x_k x_j``
-    (j > k).  Every left side has length two and rewriting terminates: a
-    step lowers the number of y's, or keeps the letters and removes an
-    inversion.  So the only ambiguities are overlaps of three generators,
-    and both sides of each triple's check are reductions of its word.  By
-    Bergman's diamond lemma (Adv. Math. 1978) a True result certifies that
-    the standard monomials ``x^a y^b`` are a k-basis, so every product the
-    kernel returns is the unique standard expression.  A False result
-    means the tables define no such ring, and the kernel's products over
-    them are not well defined.
+    Verifies associativity of the product on all generator triples (the
+    constructor already makes Q2 antisymmetric with a zero diagonal and
+    bounds its y-degree).  Read the relations as rewrite rules
+    ``y_i x_j -> x_j y_i + Q1_ij``, ``y_i y_j -> y_j y_i + Q2_ij`` (i > j)
+    and ``x_j x_k -> x_k x_j`` (j > k).  Every left side has length two
+    and rewriting terminates: a step lowers the number of y's, or keeps
+    the letters and removes an inversion.  So the only ambiguities are
+    overlaps of three generators, and both sides of each triple's check
+    are reductions of its word.  By Bergman's diamond lemma (Adv. Math.
+    1978) a True result certifies that the standard monomials ``x^a y^b``
+    are a k-basis, so every product the kernel returns is the unique
+    standard expression.  A False result means the tables define no such
+    ring, and the kernel's products over them are not well defined.
     """
-    n = P.n
-    for i in range(1, n + 1):
-        if not P.q2_entry(i, i).is_zero():
-            return False
-        for j in range(1, n + 1):
-            if P.q2_entry(i, j) != -P.q2_entry(j, i):
-                return False
     gens = P.generators()
     for f in gens:
         for g in gens:

@@ -13,7 +13,9 @@ Linear forms (half-spaces, cone forms) are integer tuples of content 1.
 Both integer views come from ``polyhedra._scaled`` and
 ``polyhedra._primitive``; the half-spaces of PR(R) are read off
 ``RingPresentation._relation_terms``, the one list of relation words and
-their right-hand-side terms.  The split of a polynomial at its top
+their right-hand-side terms, which also gives the x0 exponents of the
+Rees rings.  A weight outside PR(R) is refused in one place,
+``_require_pr``.  The split of a polynomial at its top
 weighted degree has its one home here, ``_top_split``: initial forms,
 Rees homogenization and the cone forms of the fan read it.
 """
@@ -236,7 +238,8 @@ def pr_halfspaces(P: RingPresentation) -> HalfspaceSystem:
 def _build_pr_halfspaces(P: RingPresentation) -> HalfspaceSystem:
     # the form (word - term) for each relation word and right-hand-side term
     forms = (
-        tuple(map(sub, wa + wb, ta + tb)) for (wa, wb), (ta, tb) in P._relation_terms()
+        tuple(map(sub, wa + wb, ta + tb))
+        for (wa, wb), (ta, tb), _c, _slot in P._relation_terms()
     )
     return HalfspaceSystem(P.m, P.n, forms)
 
@@ -247,8 +250,14 @@ def pr_contains(P: RingPresentation, w: WeightVector) -> bool:
     return pr_halfspaces(P).contains(w)
 
 
+def _require_pr(P: RingPresentation, w: WeightVector) -> None:
+    """Raise ``RegionError`` unless w lies in PR(R)."""
+    if not pr_contains(P, w):
+        raise RegionError(f"weight {w} not in the polynomial region")
+
+
 def pr_sample_positive(P: RingPresentation) -> WeightVector:
     """The positive vector (1, p*1) in PR(R), p = max x-degree of the tables + 1."""
-    max_xdeg = max((sum(a) for _word, (a, _b) in P._relation_terms()), default=0)
+    max_xdeg = max((sum(a) for _word, (a, _b), _c, _slot in P._relation_terms()), default=0)
     p = max_xdeg + 1
     return WeightVector([Fraction(1)] * P.m, [Fraction(p)] * P.n)

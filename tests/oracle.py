@@ -22,13 +22,18 @@ Rees route.  ``saturation_by_bayer`` completes the homogenized
 generators by weight, then the smaller power of x0, and strips x0
 (Bayer's criterion), the reference for the claim that the homogenized
 basis at the positive sample weight generates the x0-saturation.
+``strip_x0`` divides a Rees-ring element by the largest power of x0
+that divides it, for those two oracles and for the tests that check no
+basis element is divisible by x0.
 ``find_point_fm``, ``echelon_fm`` and ``irredundant_strict_fm`` are Gaussian and
 Fourier-Motzkin elimination on ``Fraction``s that keep every combined
 row, the reference for the merged integer rows of ``skewgb.polyhedra``.  ``pr_forms_by_entries``,
-``validate_order_by_entries`` and ``pr_sample_positive_by_entries`` read
-the relation tables entry by entry through ``q1_entry`` and ``q2_entry``,
-the last two in both orientations of Q2: the reference for the readers
-of ``RingPresentation._relation_terms``.
+``validate_order_by_entries``, ``pr_sample_positive_by_entries`` and
+``rees_presentation_by_entries`` read the relation tables entry by entry
+through ``q1_entry`` and ``q2_entry``, the middle two in both
+orientations of Q2: the reference for the readers of
+``RingPresentation._relation_terms`` (PR(R), (M1)/(M2), the sample
+weight and the Rees rings).
 The oracles work through the public API only.
 """
 
@@ -38,6 +43,8 @@ from fractions import Fraction
 from skewgb import (
     MonomialIdeal,
     MonomialOrder,
+    RingPresentation,
+    SkewPoly,
     WeightVector,
     buchberger,
     dehomogenize,
@@ -47,7 +54,6 @@ from skewgb import (
     normal_form,
     pr_sample_positive,
     rees_presentation,
-    strip_x0,
 )
 
 
@@ -250,6 +256,16 @@ class _ReesTieOrder(MonomialOrder):
     def key(self, mono):
         a, b = mono
         return (self.weight.scaled_dot(mono),) + self.tie.key((a[1:], b)) + (a[0],)
+
+
+def strip_x0(f):
+    """Divide a Rees-ring element by the largest common power of x0."""
+    if f.is_zero():
+        return f
+    k = min(a[0] for (a, _b) in f.terms)
+    if k == 0:
+        return f
+    return SkewPoly(f.ring, {((a[0] - k,) + a[1:], b): c for (a, b), c in f.terms.items()})
 
 
 def rees_basis_by_rounds(P, gens, w, kind="grevlex"):
@@ -497,3 +513,36 @@ def pr_sample_positive_by_entries(P):
             for (a, _b) in P.q2_entry(i, j).terms:
                 max_xdeg = max(max_xdeg, sum(a))
     return (1,) * P.m + (max_xdeg + 1,) * P.n
+
+
+def rees_presentation_by_entries(P, w):
+    """The Rees ring of P at an integral weight w of PR(R), read entry by
+    entry: each monomial x^a (or x^a y_l) of Q1_{i,j} (or Q2_{i,j}, i > j)
+    is multiplied by x0 to the power of the w-degree of the word x_j y_i
+    (or y_j y_i) minus its own, which PR(R) makes positive.  The tables
+    are checked for associativity by the constructor."""
+    m, n = P.m, P.n
+
+    def x0_power(word_degree, a, b):
+        e0 = word_degree - sum(e * d for e, d in zip(w.entries, a + b))
+        assert e0 > 0 and e0.denominator == 1, e0
+        return (int(e0),) + a
+
+    zero_y = (0,) * n
+    q1 = {}
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            entry = P.q1_entry(i, j).terms
+            if entry:
+                lhs = w.u[j - 1] + w.v[i - 1]
+                q1[(i, j + 1)] = {x0_power(lhs, a, zero_y): c for (a, _b), c in entry.items()}
+    q2 = {}
+    for i in range(1, n + 1):
+        for j in range(1, i):
+            entry = P.q2_entry(i, j).terms
+            if entry:
+                lhs = w.v[i - 1] + w.v[j - 1]
+                q2[(i, j)] = {(x0_power(lhs, a, b), b): c for (a, b), c in entry.items()}
+    ring = RingPresentation(m + 1, n, q1=q1, q2=q2, name=f"rees({P.name})")
+    ring.var_names = ("x0",) + P.var_names
+    return ring

@@ -14,6 +14,7 @@ from skewgb import (
     MonomialIdeal,
     QuasiPolynomial,
     RegionError,
+    SkewGbError,
     WeightVector,
     char_ideal,
     fit_quasi_polynomial,
@@ -129,6 +130,23 @@ class TestHilbertSeries:
         assert quasi_poly_degree(h, cumulative=True) == 2
         unit = hilbert_series_monomial(J(1, 0, ([0], [])), [1])
         assert quasi_poly_degree(unit) == NEG_INF
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1], "one weight per variable"),
+            ([1, 2, 3], "one weight per variable"),
+            ([1, Fraction(1, 2)], "positive integers"),
+            ([1, 0], "positive integers"),
+        ],
+    )
+    def test_bad_weights_refused(self, weights, message):
+        with pytest.raises(SkewGbError, match=message):
+            hilbert_series_monomial(J(2, 0), weights)
+
+    def test_nonpositive_denominator_refused(self):
+        with pytest.raises(SkewGbError, match="denominator exponents must be positive"):
+            HilbertSeries({0: 1}, [0])
 
     def test_cancellation(self):
         # (1 - t)/(1 - t)^2 has a simple pole

@@ -163,6 +163,10 @@ class TestExitCodes:
             ("ring: custom 1 1\nring: weyl 1\nideal: y1*x1\n", "repeated ring stanza"),
             ("ring: weyl 1\nring: commutative 1 1\nideal: y1*x1\n", "repeated ring stanza"),
             ("ring: custom 0 1\nq2 1 1: 1\nideal: y1\n", "Q2[1,1] must vanish"),
+            (
+                "ring: custom 0 2\nq2 2 1: y1\nq2 1 2: y1\nideal: y1\n",
+                "Q2[1,2] is not the negation of Q2[2,1]",
+            ),
         ):
             bad.write_text(text)
             code, out, err = run(["gb", str(bad)], capsys)

@@ -16,6 +16,7 @@ from skewgb import (
     MonomialOrder,
     PresentationError,
     RegionError,
+    RingPresentation,
     SkewGbError,
     WeightVector,
     buchberger,
@@ -32,7 +33,6 @@ from skewgb import (
     pr_sample_positive,
     rees_presentation,
     sl2_presentation,
-    strip_x0,
     universal_gb,
     validate_order,
     weyl_presentation,
@@ -49,6 +49,7 @@ from oracle import (
     initial_ideal_by_completion,
     rees_basis_by_rounds,
     saturation_by_bayer,
+    strip_x0,
 )
 from test_kernel import vector_fields
 
@@ -238,6 +239,12 @@ class TestBuchberger:
         monkeypatch.setenv("SKEWGB_MAX_STEPS", "1000")
         with pytest.raises(SkewGbError, match="term order"):
             buchberger(S, [x - x * x, x ** 3], order)
+
+    def test_order_breaking_m1_m2_refused(self):
+        # y1 x1 - x1 y1 = x1^2: grevlex puts x1^2 above the word x1 y1
+        P = RingPresentation(1, 1, q1={(1, 1): {(2,): 1}})
+        with pytest.raises(SkewGbError, match=r"order violates \(M1\)/\(M2\)"):
+            buchberger(P, [P.y(1)], MonomialOrder("grevlex"))
 
 
 class TestWeightedGroebner:

@@ -269,16 +269,54 @@ def test_basis_wrapper_is_gone():
     assert definitions({"GroebnerBasis"}) == []
 
 
-# each repeated idiom has one home: the relation tables are read entry by
-# entry only where coefficients or both orientations of Q2 are needed
-# (everything else reads ``RingPresentation._relation_terms``), the
-# integer view of a vector is taken only in polyhedra, and the top-degree
-# split of a polynomial is written once
-def test_relation_tables_read_entry_by_entry_only_in_ring_and_rees():
-    assert routes({"q1_entry", "q2_entry"}) == {
-        ("q2_entry", "ring.py", "validate_presentation"),
-        ("q1_entry", "rees.py", "rees_presentation"),
-        ("q2_entry", "rees.py", "rees_presentation"),
+def foreign_attribute_modules(names):
+    """Modules that access an attribute named one of ``names`` on an object
+    other than ``self``."""
+    return {
+        path.name
+        for path in ALL_MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr in names
+        and getattr(node.value, "id", None) != "self"
+    }
+
+
+# each repeated idiom has one home: the relation tables are read through
+# ``RingPresentation._relation_terms`` alone (PR(R), (M1)/(M2), the sample
+# weight and the Rees tables; ``q1_entry`` and ``q2_entry`` stay public for
+# callers outside the package), the integer view of a vector is taken only
+# in polyhedra, and the top-degree split of a polynomial is written once
+def test_relation_tables_read_only_by_relation_terms():
+    assert routes({"q1_entry", "q2_entry"}) == set()
+    # the kernel keeps tables of its own under the same names
+    assert foreign_attribute_modules({"_q1", "_q2"}) == {"ring.py"}
+    assert routes({"_relation_terms"}) == {
+        ("_relation_terms", "weights.py", "_build_pr_halfspaces"),
+        ("_relation_terms", "weights.py", "pr_sample_positive"),
+        ("_relation_terms", "orders.py", "validate_order"),
+        ("_relation_terms", "rees.py", "rees_presentation"),
+    }
+    assert definitions({"_x0_power"}) == []
+
+
+# a weight outside PR(R) is refused in one helper, in one wording; the
+# other membership tests are the boolean ones of the fan
+def test_polynomial_region_refused_in_one_helper():
+    assert routes({"_require_pr"}) == {
+        ("_require_pr", "groebner.py", "groebner_wrt_weight"),
+        ("_require_pr", "groebner.py", "_Bases.at"),
+        ("_require_pr", "fan.py", "_cone"),
+        ("_require_pr", "fan.py", "epsilon_threshold"),
+        ("_require_pr", "fan.py", "walk"),
+        ("_require_pr", "charvar.py", "gk_dim"),
+        ("_require_pr", "rees.py", "_check_weight"),
+    }
+    assert routes({"pr_contains"}) == {
+        ("pr_contains", "weights.py", "_require_pr"),
+        ("pr_contains", "fan.py", "gr_region_contains"),
+        ("pr_contains", "fan.py", "_step"),
+        ("pr_contains", "fan.py", "_cross_facet"),
     }
 
 
@@ -298,11 +336,13 @@ def test_equalities_have_one_writer():
 
 
 # a Rees completion starts from generators of the x0-saturation, so its
-# reduced basis has no element divisible by x0: nothing strips x0, no
-# completion branches on the class of its order, and no saturation loop
-# is left (``strip_x0`` stays public for callers outside the package)
+# reduced basis has no element divisible by x0: nothing strips x0 (the
+# test oracle keeps ``strip_x0``), no completion branches on the class of
+# its order, and no saturation loop is left
 def test_strip_x0_has_no_caller_in_src():
     assert routes({"strip_x0"}) == set()
+    assert definitions({"strip_x0"}) == []
+    assert "def strip_x0(" in (SRC.parent.parent / "tests" / "oracle.py").read_text(encoding="utf-8")
     assert routes({"isinstance"}) & {("isinstance", "groebner.py", "buchberger")} == set()
     assert "_SATURATION_ROUNDS" not in (SRC / "groebner.py").read_text(encoding="utf-8")
 

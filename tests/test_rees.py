@@ -12,10 +12,10 @@ from skewgb import (
     commutative_presentation,
     dehomogenize,
     homogenize,
+    pr_contains,
     pr_sample_positive,
     rees_presentation,
     sl2_presentation,
-    strip_x0,
     validate_presentation,
     weight_degree,
     weyl_presentation,
@@ -23,6 +23,8 @@ from skewgb import (
 from skewgb.rees import _positive_rees
 from skewgb.weights import initial_form
 
+from oracle import rees_presentation_by_entries, strip_x0
+from test_kernel import fractional, heisenberg, vector_fields
 from test_ring import random_poly
 
 A1 = weyl_presentation(1)
@@ -67,6 +69,40 @@ class TestConstruction:
         for _ in range(10):
             f = random_poly(rz.ring, rng)
             assert rz.x0() * f == f * rz.x0()
+
+
+class TestTablesFromRelationTerms:
+    """The Rees tables built in one pass over the relation terms equal the
+    tables built entry by entry, at the sample weight and at further
+    positive and mixed-sign integral weights of PR(R)."""
+
+    RINGS = {
+        "weyl1": A1,
+        "weyl2": A2,
+        "weyl3": weyl_presentation(3),
+        "sl2": SL2,
+        "vector_fields": vector_fields(),
+        "heisenberg": heisenberg(),
+        "fractional": fractional(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_equal_to_the_entry_by_entry_construction(self, name):
+        P = self.RINGS[name]
+        rng = random.Random(23)
+        positive, mixed = [pr_sample_positive(P)], []
+        while len(positive) < 2 or len(mixed) < 2:
+            w = WeightVector.for_ring(P, [rng.randint(-3, 5) for _ in range(P.m + P.n)])
+            if not pr_contains(P, w):
+                continue
+            if w.is_positive() and w not in positive:
+                positive.append(w)
+            elif not w.is_nonnegative() and w not in mixed:
+                mixed.append(w)
+        for w in positive + mixed:
+            ring = rees_presentation(P, w).ring
+            oracle = rees_presentation_by_entries(P, w)
+            assert ring == oracle and ring.var_names == oracle.var_names, w
 
 
 class TestHomogenize:

@@ -68,15 +68,19 @@ class TestPresentations:
         assert validate_presentation(commutative_presentation(3))
 
     def test_validate_rejects_bad_q2(self):
-        # a non-antisymmetric Q2 pair is rejected, by the check and by the
-        # constructor, which runs it
+        # a given Q2 mirror that is not the negation is refused by both
+        # constructors, so no ring holds a non-antisymmetric Q2
         q2 = {
             (2, 1): {((), (1, 0)): 1},
             (1, 2): {((), (1, 0)): 1},
         }
-        assert not validate_presentation(RingPresentation._unchecked(0, 2, q2=q2))
-        with pytest.raises(PresentationError, match="non-associative"):
-            RingPresentation(0, 2, q2=q2)
+        refusal = r"Q2\[1,2\] is not the negation of Q2\[2,1\]"
+        for build in (RingPresentation, RingPresentation._unchecked):
+            with pytest.raises(PresentationError, match=refusal):
+                build(0, 2, q2=q2)
+        # a given mirror that is the negation is the ring of the one entry
+        q2[(1, 2)] = {((), (1, 0)): -1}
+        assert RingPresentation(0, 2, q2=q2) == RingPresentation(0, 2, q2={(2, 1): q2[(2, 1)]})
 
     def test_constructor_rejects_jacobi_breaking_tables(self):
         # [y2, y1] = y3, [y3, y2] = y1, [y3, y1] = y1 break the Jacobi
@@ -97,6 +101,8 @@ class TestPresentations:
             weyl_presentation(0)
         with pytest.raises(PresentationError):
             RingPresentation(1, 1, q2={(1, 1): {((0,), (1,)): 1}})
+        with pytest.raises(PresentationError, match=r"Q2\[2,1\] has y-degree > 1"):
+            RingPresentation(0, 2, q2={(2, 1): {((), (1, 1)): 1}})
 
     @pytest.mark.parametrize("key", [(2, 1), (1, 2), (0, 1), (1, 0)])
     def test_rejects_out_of_range_q1_index(self, key):

@@ -19,6 +19,7 @@ from skewgb import (
     MonomialOrder,
     PresentationError,
     RegionError,
+    SkewGbError,
     WeightVector,
     commutative_presentation,
     degree,
@@ -137,6 +138,10 @@ class TestInitialForms:
         # read with A1's weight (1, 1), x1*y1 + y2 of A2 gave x1
         with pytest.raises(PresentationError):
             initial_form(A1, A2.x(1) * A2.y(1) + A2.y(2), WeightVector.for_ring(A1, [1, 1]))
+
+    def test_initial_form_of_zero_refused(self):
+        with pytest.raises(SkewGbError, match="zero polynomial"):
+            initial_form(A1, A1.zero(), WeightVector.for_ring(A1, [1, 1]))
 
     def test_initial_form_multiplicative_in_s(self):
         w = WeightVector.for_ring(A1, [1, 1])
